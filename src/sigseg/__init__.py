@@ -34,6 +34,7 @@ from .metrics import (
 from .penalties import (
     Penalty,
     default_bic_dim,
+    detect,
     detect_with_penalty,
     estimate_noise_std,
     parse_penalty,
@@ -92,6 +93,7 @@ __all__ = [
     "botup_segment",
     "compute_metric_report",
     "default_bic_dim",
+    "detect",
     "detect_with_penalty",
     "estimate_noise_std",
     "fit",

@@ -8,10 +8,10 @@ runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -20,13 +20,6 @@ from . import metrics as metrics_mod
 from . import penalties as pen_mod
 from . import search as search_mod
 from . import signals as signals_mod
-from .report import DetectionReport
-
-METHODS = ("opt", "pelt", "win", "binseg", "botup")
-
-# Complex penalties are minimized by sweeping the exact search over change
-# counts; the CLI exposes no knob for the sweep bound.
-SWEEP_K_MAX = 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="detect change points in a CSV signal")
     det.add_argument("--input", required=True, help="signal CSV, one time step per line")
-    det.add_argument("--method", required=True, choices=METHODS)
+    det.add_argument("--method", required=True, choices=pen_mod.METHODS)
     det.add_argument("--cost", required=True, choices=costs_mod.COST_KINDS)
     det.add_argument("--n-bkps", type=int, default=None, help="fixed number of changes")
     det.add_argument("--pen", default=None,
@@ -80,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     ben = sub.add_parser("bench", help="time a method over generated signals of growing length")
-    ben.add_argument("--method", required=True, choices=METHODS)
+    ben.add_argument("--method", required=True, choices=pen_mod.METHODS)
     ben.add_argument("--cost", required=True, choices=costs_mod.COST_KINDS)
     ben.add_argument("--sizes", required=True, help="comma-separated signal lengths")
     ben.add_argument("--trials", type=int, default=3)
@@ -151,9 +144,6 @@ def cmd_detect(args, parser) -> int:
     signal = signals_mod.load_csv(args.input)
     cost = _fit_cost(args, parser, signal)
     opts = search_mod.SearchOptions(min_size=args.min_size, jump=args.jump)
-    window = args.window
-    if args.method == "win" and window is None:
-        window = max(max(args.min_size, cost.min_size), min(signal.T // 10, 100))
 
     pen = None
     if args.pen is not None:
@@ -161,36 +151,12 @@ def cmd_detect(args, parser) -> int:
         if args.method != "opt" and not pen.is_linear:
             parser.error(f"--method {args.method} requires a linear penalty "
                          f"(l0, bic, bic_l2, aic_l2), got --pen {args.pen}")
-
-    curve = None
-    start = time.perf_counter()
-    if args.method == "opt":
-        if pen is None:
-            seg = search_mod.opt_segment(cost, args.n_bkps, opts)
-        else:
-            seg = None  # sweep handled below, with its own timing
     elif args.method == "pelt":
-        if pen is None:
-            parser.error("--method pelt requires --pen with a linear penalty, not --n-bkps")
-        seg = search_mod.pelt_segment(cost, pen.linear_beta(signal.T), opts)
-    elif args.method == "win":
-        stop = (search_mod.StoppingRule.fixed_k(args.n_bkps) if pen is None
-                else search_mod.StoppingRule.penalty_threshold(pen.linear_beta(signal.T)))
-        seg = search_mod.win_segment(cost, window, stop, opts)
-        if args.curve_out:
-            curve = zip(*search_mod.win_score_curve(cost, window, opts))
-    elif args.method == "binseg":
-        stop = (search_mod.StoppingRule.fixed_k(args.n_bkps) if pen is None
-                else search_mod.StoppingRule.penalty_threshold(pen.linear_beta(signal.T)))
-        seg, trace = search_mod.binseg_trace(cost, stop, opts)
-        if args.curve_out:
-            curve = trace
-    else:  # botup
-        stop = (search_mod.StoppingRule.fixed_k(args.n_bkps) if pen is None
-                else search_mod.StoppingRule.penalty_threshold(pen.linear_beta(signal.T)))
-        seg = search_mod.botup_segment(cost, args.delta, stop, opts)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+        parser.error("--method pelt requires --pen with a linear penalty, not --n-bkps")
 
+    report, trace = pen_mod.detect(cost, args.method, args.n_bkps if pen is None else pen, opts,
+                                   window=args.window, delta=args.delta)
+    window = report.config_echo.get("window")
     config = {
         "input": args.input,
         "method": args.method,
@@ -199,7 +165,7 @@ def cmd_detect(args, parser) -> int:
         "penalty": pen.identifier if pen is not None else None,
         "min_size": args.min_size,
         "jump": args.jump,
-        "window": window if args.method == "win" else None,
+        "window": window,
         "delta": args.delta if args.method == "botup" else None,
         "gamma": getattr(cost, "spec", None).gamma if args.cost.startswith("kernel_") else None,
         "deg": args.deg if args.cost == "kernel_poly" else None,
@@ -207,38 +173,16 @@ def cmd_detect(args, parser) -> int:
         "order": args.order,
         "covariates": args.covariates,
         "metric_matrix": args.metric_matrix,
-        "k_max": SWEEP_K_MAX if (args.method == "opt" and pen is not None) else None,
+        "k_max": pen_mod.SWEEP_K_MAX if (args.method == "opt" and pen is not None) else None,
     }
-
-    if args.method == "opt" and pen is not None:
-        report = pen_mod.detect_with_penalty(cost, pen, SWEEP_K_MAX, opts)
-        config["k_max"] = SWEEP_K_MAX
-        report = DetectionReport(
-            method="opt-sweep" if not pen.is_linear else report.method,
-            cost=report.cost,
-            breakpoints=report.breakpoints,
-            sum_of_costs=report.sum_of_costs,
-            penalized_objective=report.penalized_objective,
-            elapsed_ms=report.elapsed_ms,
-            config_echo=config,
-        )
-    else:
-        total = costs_mod.sum_of_costs(cost, seg)
-        objective = total + pen_mod.pen_value(pen, seg) if pen is not None else None
-        report = DetectionReport(
-            method=args.method,
-            cost=args.cost,
-            breakpoints=list(seg.bkps),
-            sum_of_costs=total,
-            penalized_objective=objective,
-            elapsed_ms=elapsed_ms,
-            config_echo=config,
-        )
+    report = dataclasses.replace(report, config_echo=config)
 
     if args.curve_out:
+        if args.method == "win":
+            trace = zip(*search_mod.win_score_curve(cost, window, opts))
         with open(args.curve_out, "w", encoding="utf-8") as fh:
             fh.write("index,score\n")
-            for idx, score in curve or []:
+            for idx, score in trace:
                 fh.write(f"{int(idx)},{score:.17g}\n")
 
     text = report.to_json()
@@ -319,22 +263,9 @@ def _bench_once(method, cost_kind, T, seed):
     )
     signal, _ = signals_mod.generate_pw_constant(spec)
     cost = costs_mod.fit(cost_kind, signal)
-    opts = search_mod.SearchOptions()
-
-    start = time.perf_counter()
-    if method == "opt":
-        search_mod.opt_segment(cost, n_bkps, opts)
-    elif method == "pelt":
-        beta = 2.0 * float(np.var(signal.data)) * np.log(T)
-        search_mod.pelt_segment(cost, beta, opts)
-    elif method == "win":
-        width = max(cost.min_size, min(T // 10, 100))
-        search_mod.win_segment(cost, width, search_mod.StoppingRule.fixed_k(n_bkps), opts)
-    elif method == "binseg":
-        search_mod.binseg_segment(cost, search_mod.StoppingRule.fixed_k(n_bkps), opts)
-    else:
-        search_mod.botup_segment(cost, 10, search_mod.StoppingRule.fixed_k(n_bkps), opts)
-    return (time.perf_counter() - start) * 1000.0
+    target = (pen_mod.Penalty.l0(2.0 * float(np.var(signal.data)) * np.log(T))
+              if method == "pelt" else n_bkps)
+    return pen_mod.detect(cost, method, target)[0].elapsed_ms
 
 
 def run_bench(method, cost_kind, sizes, trials, seed):

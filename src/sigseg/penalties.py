@@ -15,13 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import search
 from .costs import CostModel, sum_of_costs
 from .report import DetectionReport
-from .search import SearchOptions, opt_segment, pelt_segment
+from .search import InfeasibleError, SearchOptions, opt_segment, pelt_segment
 from .signals import Segmentation, as_signal
 
 LINEAR_VARIANTS = ("l0", "bic", "bic_l2", "aic_l2")
 PENALTY_VARIANTS = LINEAR_VARIANTS + ("mbic", "leb")
+METHODS = ("opt", "pelt", "win", "binseg", "botup")
+
+SWEEP_K_MAX = 10  # K bound of the sweep `detect` runs for opt with a nonlinear penalty
 
 
 @dataclass(frozen=True)
@@ -161,13 +165,30 @@ def estimate_noise_std(signal) -> float:
     return float(mad / math.sqrt(2.0))
 
 
+def _report(cost: CostModel, method: str, seg: Segmentation, pen: Penalty | None,
+            start: float, config_echo: dict) -> DetectionReport:
+    """Report of a search that started at perf_counter() == start and found seg."""
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    total = sum_of_costs(cost, seg)
+    return DetectionReport(
+        method=method,
+        cost=cost.kind,
+        breakpoints=list(seg.bkps),
+        sum_of_costs=total,
+        penalized_objective=None if pen is None else total + pen_value(pen, seg),
+        elapsed_ms=elapsed_ms,
+        config_echo=config_echo,
+    )
+
+
 def detect_with_penalty(cost: CostModel, pen: Penalty, k_max: int,
                         opts: SearchOptions | None = None) -> DetectionReport:
     """Minimize sum-of-costs plus penalty over segmentations.
 
     Linear penalties run the pruned exact search with the equivalent per
     change charge; others sweep the fixed-count search for K = 0 .. k_max
-    and keep the best penalized objective (smallest K on ties).
+    and keep the best penalized objective (smallest K on ties).  The sweep
+    stops at the first infeasible K; any other error propagates.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -186,26 +207,74 @@ def detect_with_penalty(cost: CostModel, pen: Penalty, k_max: int,
         for k in range(k_max + 1):
             try:
                 seg_k = opt_segment(cost, k, opts)
-            except ValueError:
+            except InfeasibleError:
                 break  # k and above infeasible
             obj = sum_of_costs(cost, seg_k) + pen_value(pen, seg_k)
             if obj < best_obj:
                 seg, best_obj = seg_k, obj
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
 
-    total = sum_of_costs(cost, seg)
-    return DetectionReport(
-        method=method,
-        cost=cost.kind,
-        breakpoints=list(seg.bkps),
-        sum_of_costs=total,
-        penalized_objective=total + pen_value(pen, seg),
-        elapsed_ms=elapsed_ms,
-        config_echo={
-            "penalty": pen.identifier,
-            "k_max": k_max,
-            "min_size": opts.min_size,
-            "jump": opts.jump,
-            "beta_equivalent": beta,
-        },
-    )
+    return _report(cost, method, seg, pen, start, {
+        "penalty": pen.identifier,
+        "k_max": k_max,
+        "min_size": opts.min_size,
+        "jump": opts.jump,
+        "beta_equivalent": beta,
+    })
+
+
+def detect(cost: CostModel, method: str, target: int | Penalty,
+           opts: SearchOptions | None = None, *, window: int | None = None,
+           delta: int = 10) -> tuple[DetectionReport, list[tuple[int, float]] | None]:
+    """Run one search method on a fitted cost under one constraint: the
+    library form of `sigseg detect`.
+
+    target is a change count or a Penalty.  `pelt` needs a linear penalty;
+    `opt` with a penalty is detect_with_penalty with k_max = SWEEP_K_MAX;
+    win, binseg and botup stop at the change count or at the per change
+    charge of a linear penalty.  window (win) defaults to T // 10, capped at
+    100 and raised to the minimum segment length; delta is botup's initial
+    grid step.  Returns the report, whose config_echo holds the resolved
+    parameters, and binseg's accepted (index, gain) trace (None otherwise).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    opts = opts or SearchOptions()
+    pen = target if isinstance(target, Penalty) else None
+    if method == "opt" and pen is not None:
+        return detect_with_penalty(cost, pen, SWEEP_K_MAX, opts), None
+    if pen is not None and not pen.is_linear:
+        raise ValueError(f"method {method} requires a linear penalty "
+                         f"(l0, bic, bic_l2, aic_l2), got {pen.identifier}")
+    if method == "pelt" and pen is None:
+        raise ValueError("method pelt requires a linear penalty, not a change count")
+
+    T = cost.signal.T
+    beta = None if pen is None else pen.linear_beta(T)
+    if method == "win" and window is None:
+        window = max(opts.min_size, cost.min_size, min(T // 10, 100))
+    trace = None
+    start = time.perf_counter()
+    if method == "opt":
+        seg = opt_segment(cost, target, opts)
+    elif method == "pelt":
+        seg = pelt_segment(cost, beta, opts)
+    else:
+        stop = (search.StoppingRule.fixed_k(target) if pen is None
+                else search.StoppingRule.penalty_threshold(beta))
+        # Looked up on the search module at call time, so that a wrapper
+        # installed there sees the call.
+        if method == "win":
+            seg = search.win_segment(cost, window, stop, opts)
+        elif method == "binseg":
+            seg, trace = search.binseg_trace(cost, stop, opts)
+        else:
+            seg = search.botup_segment(cost, delta, stop, opts)
+    return _report(cost, method, seg, pen, start, {
+        "n_bkps": target if pen is None else None,
+        "penalty": None if pen is None else pen.identifier,
+        "min_size": opts.min_size,
+        "jump": opts.jump,
+        "window": window if method == "win" else None,
+        "delta": delta if method == "botup" else None,
+        "beta_equivalent": beta,
+    }), trace

@@ -18,6 +18,10 @@ from .costs import CostModel
 from .signals import Segmentation, make_segmentation
 
 
+class InfeasibleError(ValueError):
+    """No segmentation with the requested change count fits min_size and the grid."""
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     """Scalability controls: minimum segment length and candidate grid step."""
@@ -73,13 +77,14 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
 
     O(n_bkps * T^2 / jump^2) cost evaluations, O(n_bkps * T) memory.  Among
     equal-cost optima, returns the lexicographically smallest breakpoint
-    sequence.
+    sequence.  Raises InfeasibleError when no admissible segmentation has
+    n_bkps changes.
     """
     T, msize, jump = _resolved(cost, opts)
     if n_bkps < 0:
         raise ValueError("n_bkps must be >= 0")
     if (n_bkps + 1) * msize > T:
-        raise ValueError(
+        raise InfeasibleError(
             f"infeasible: {n_bkps + 1} segments of >= {msize} samples exceed T={T}"
         )
     if n_bkps == 0:
@@ -87,56 +92,40 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
 
     cands = _grid(msize, T - msize, jump)
     if len(cands) < n_bkps:
-        raise ValueError(f"only {len(cands)} admissible indexes for {n_bkps} changes")
+        raise InfeasibleError(f"only {len(cands)} admissible indexes for {n_bkps} changes")
     starts = np.concatenate(([0], cands))
 
     # level[k][i] = best cost of covering (starts[i], T] with k changes.
     level = cost.eval_batch(starts, T)
     parents: list[np.ndarray] = []
-    vectorized = type(cost)._values is not CostModel._values
     for k in range(1, n_bkps + 1):
         prev_at_cand = level[1:]  # level k-1 restricted to candidate starts
         finite = np.isfinite(prev_at_cand)
         cf, pf = cands[finite], prev_at_cand[finite]
         nxt = np.full(len(starts), np.inf)
         par = np.full(len(starts), -1, dtype=np.int64)
-        if len(cf) == 0:
-            parents.append(par)
-            level = nxt
-            continue
-        if vectorized:
-            # Evaluate blocks of starts against every candidate end in one
-            # batched call; infeasible pairs are computed on a safe dummy
-            # interval and masked out.  Identical values and tie-breaks to
-            # the scalar path, far fewer interpreter round trips.  Block
-            # size keeps the scratch arrays cache-friendly (~200k pairs).
-            block = max(1, 200_000 // len(cf))
-            for i0 in range(0, len(starts), block):
-                sb = starts[i0:i0 + block]
-                valid = cf[None, :] >= sb[:, None] + msize
-                a = np.where(valid, sb[:, None], 0).ravel()
-                b = np.where(valid, cf[None, :], msize).ravel()
-                vals = cost.eval_batch(a, b).reshape(len(sb), len(cf)) + pf[None, :]
-                vals[~valid] = np.inf
-                j = np.argmin(vals, axis=1)  # first minimum: smallest t
-                rows = np.arange(len(sb))
-                ok = np.isfinite(vals[rows, j])
-                idx = np.arange(i0, i0 + len(sb))[ok]
-                nxt[idx] = vals[rows[ok], j[ok]]
-                par[idx] = cf[j[ok]]
-        else:
-            for i, s in enumerate(starts):
-                ts = cf[cf >= s + msize]
-                if len(ts) == 0:
-                    continue
-                vals = cost.eval_batch(np.full(len(ts), s), ts) + pf[len(cf) - len(ts):]
-                j = int(np.argmin(vals))  # first minimum: smallest t
-                nxt[i], par[i] = vals[j], ts[j]
+        # Blocks of starts against every candidate end: the feasible pairs
+        # of a block go to the cost in one batched call, the rest stay inf.
+        # Block size keeps the scratch arrays cache-friendly (~200k pairs).
+        block = max(1, 200_000 // max(1, len(cf)))
+        for i0 in range(0, len(starts), block):
+            sb = starts[i0:i0 + block]
+            valid = cf[None, :] >= sb[:, None] + msize
+            if not valid.any():
+                continue
+            rows, cols = np.nonzero(valid)
+            vals = np.full(valid.shape, np.inf)
+            vals[rows, cols] = cost.eval_batch(sb[rows], cf[cols]) + pf[cols]
+            j = np.argmin(vals, axis=1)  # first minimum: smallest t
+            best = vals[np.arange(len(sb)), j]
+            ok = np.isfinite(best)
+            nxt[i0:i0 + len(sb)][ok] = best[ok]
+            par[i0:i0 + len(sb)][ok] = cf[j[ok]]
         parents.append(par)
         level = nxt
 
     if not np.isfinite(level[0]):
-        raise ValueError(f"no admissible segmentation with {n_bkps} changes")
+        raise InfeasibleError(f"no admissible segmentation with {n_bkps} changes")
     pos = {int(s): i for i, s in enumerate(starts)}
     bkps, cur = [], 0
     for k in range(n_bkps, 0, -1):
@@ -150,8 +139,10 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     """Exact minimizer of sum-of-costs + beta * (number of changes).
 
     Scans candidate prefix ends left to right, keeping for each the best
-    last change; indexes whose continuation is already beaten by splitting
-    at the current end are pruned from the admissible set.  Pruning never
+    last change.  An index s whose continuation is already beaten at end t,
+    best[s] + c(s, t) > best[t], loses to a change at t for every end from
+    t + min_size on, so it leaves the admissible set then, not before: ends
+    in (t, t + min_size) cannot place their last change at t.  Pruning never
     changes the result for costs where splitting cannot increase the cost;
     pass prune=False to force the full quadratic scan.
     """
@@ -168,17 +159,22 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     best = np.full(T + 1, np.inf)
     best[0] = -beta
     parent = np.zeros(T + 1, dtype=np.int64)
-    admissible = [0]
+    # Admissible last changes in increasing order, each with the first end
+    # at which it is pruned (T + 1: not pruned).
+    adm = np.zeros(1, dtype=np.int64)
+    dead_at = np.full(1, T + 1, dtype=np.int64)
     for t in ends:
-        adm = np.fromiter(admissible, dtype=np.int64)
-        adm = adm[t - adm >= msize]
-        vals = best[adm] + cost.eval_batch(adm, t) + beta
+        alive = dead_at > t
+        adm, dead_at = adm[alive], dead_at[alive]
+        n = np.searchsorted(adm, t - msize, side="right")  # adm[:n] lie >= min_size before t
+        vals = best[adm[:n]] + cost.eval_batch(adm[:n], t) + beta
         j = int(np.argmin(vals))
         best[t], parent[t] = vals[j], adm[j]
         if prune:
-            kept = set(adm[vals - beta <= best[t]].tolist())
-            admissible = [s for s in admissible if s in kept or t - s < msize]
-        admissible.append(int(t))
+            beaten = vals - beta > best[t]
+            dead_at[:n][beaten] = np.minimum(dead_at[:n][beaten], t + msize)
+        adm = np.append(adm, t)
+        dead_at = np.append(dead_at, T + 1)
 
     chain = []
     cur = int(parent[T])

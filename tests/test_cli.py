@@ -3,7 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from sigseg import fit, load_csv, make_segmentation, sum_of_costs
+from sigseg import (
+    Penalty,
+    StoppingRule,
+    binseg_segment,
+    botup_segment,
+    fit,
+    load_csv,
+    make_segmentation,
+    opt_segment,
+    pelt_segment,
+    pen_value,
+    sum_of_costs,
+    win_segment,
+)
 from sigseg.cli import main
 
 
@@ -144,6 +157,66 @@ class TestDetect:
                            "--n-bkps", "1")
         assert code == 0
         assert json.loads(out)["breakpoints"] == [50, 100]
+
+
+def direct_search(cost, method, n_bkps, pen):
+    """The segmentation and reported method name of one search called by hand,
+    with the CLI's defaults: window T // 10, delta 10, sweep up to K = 10."""
+    if method == "opt" and pen is not None and not pen.is_linear:
+        segs = [opt_segment(cost, k) for k in range(11)]
+        return min(segs, key=lambda seg: sum_of_costs(cost, seg) + pen_value(pen, seg)), "opt-sweep"
+    if method in ("opt", "pelt") and pen is not None:
+        return pelt_segment(cost, pen.linear_beta(cost.signal.T)), "pelt"
+    if method == "opt":
+        return opt_segment(cost, n_bkps), "opt"
+    stop = (StoppingRule.fixed_k(n_bkps) if pen is None
+            else StoppingRule.penalty_threshold(pen.linear_beta(cost.signal.T)))
+    if method == "win":
+        return win_segment(cost, cost.signal.T // 10, stop), "win"
+    if method == "binseg":
+        return binseg_segment(cost, stop), "binseg"
+    return botup_segment(cost, 10, stop), "botup"
+
+
+class TestDispatchParity:
+    @pytest.mark.parametrize("target", [["--n-bkps", "2"], ["--pen", "l0:20"]])
+    @pytest.mark.parametrize("method", ["opt", "pelt", "win", "binseg", "botup"])
+    def test_report_equals_direct_search(self, tmp_path, capsys, method, target):
+        self.check(tmp_path, capsys, method, target)
+
+    def test_opt_mbic_equals_direct_sweep(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "opt", ["--pen", "mbic"])
+
+    def check(self, tmp_path, capsys, method, target):
+        rng = np.random.default_rng(11)
+        data = np.repeat([0.0, 5.0, 1.0], 40) + 0.5 * rng.standard_normal(120)
+        csv = str(tmp_path / "signal.csv")
+        np.savetxt(csv, data, fmt="%.17g")
+        code, out, err = run(capsys, "detect", "--input", csv, "--method", method,
+                             "--cost", "l2", *target)
+        if method == "pelt" and target[0] == "--n-bkps":
+            assert code == 2 and "requires --pen" in err
+            return
+        assert code == 0
+        report = json.loads(out)
+
+        cost = fit("l2", load_csv(csv))
+        n_bkps = int(target[1]) if target[0] == "--n-bkps" else None
+        pen = Penalty.l0(20.0) if target[1] == "l0:20" else Penalty.mbic() if target[1] == "mbic" else None
+        seg, name = direct_search(cost, method, n_bkps, pen)
+        total = sum_of_costs(cost, seg)
+        assert report["method"] == name
+        assert report["breakpoints"] == list(seg.bkps)
+        assert report["sum_of_costs"] == total
+        assert report["penalized_objective"] == (None if pen is None else total + pen_value(pen, seg))
+        assert list(report["config_echo"].items()) == [
+            ("input", csv), ("method", method), ("cost", "l2"), ("n_bkps", n_bkps),
+            ("penalty", None if pen is None else target[1]), ("min_size", 1), ("jump", 1),
+            ("window", 12 if method == "win" else None), ("delta", 10 if method == "botup" else None),
+            ("gamma", None), ("deg", None), ("const", None), ("order", None),
+            ("covariates", None), ("metric_matrix", None),
+            ("k_max", 10 if method == "opt" and pen is not None else None),
+        ]
 
 
 class TestGenerate:

@@ -7,6 +7,7 @@ from sigseg import (
     Penalty,
     SearchOptions,
     default_bic_dim,
+    detect,
     detect_with_penalty,
     estimate_noise_std,
     fit,
@@ -152,6 +153,22 @@ class TestDetectWithPenalty:
         assert echo["beta_equivalent"] == 0.5
         assert report.elapsed_ms >= 0.0
 
+    def test_sweep_propagates_cost_errors(self):
+        # the first 20 samples are constant, so K=1 meets a singular
+        # covariance; that is an error, not the end of the feasible range
+        rng = np.random.default_rng(5)
+        cost = fit("normal", np.concatenate([np.zeros(20), 5 + rng.standard_normal(60)]))
+        with pytest.raises(ValueError, match="singular covariance"):
+            opt_segment(cost, 1)
+        with pytest.raises(ValueError, match="singular covariance"):
+            detect_with_penalty(cost, Penalty.mbic(), k_max=3)
+
+    def test_sweep_stops_at_first_infeasible_count(self):
+        data = np.concatenate([np.zeros(10), np.full(10, 4.0)])
+        report = detect_with_penalty(fit("l2", data), Penalty.mbic(), k_max=10,
+                                     opts=SearchOptions(min_size=5))
+        assert report.breakpoints == [10, 20]
+
     def test_sweep_monotone_costs(self):
         rng = np.random.default_rng(4)
         cost = fit("l2", rng.standard_normal(90))
@@ -159,3 +176,35 @@ class TestDetectWithPenalty:
         for k in range(5):
             values.append(sum_of_costs(cost, opt_segment(cost, k)))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+class TestDetect:
+    DATA = np.concatenate([np.zeros(40), np.full(40, 5.0)])
+
+    def test_pelt_needs_a_penalty(self):
+        with pytest.raises(ValueError, match="pelt"):
+            detect(fit("l2", self.DATA), "pelt", 1)
+
+    @pytest.mark.parametrize("method", ["pelt", "win", "binseg", "botup"])
+    def test_nonlinear_penalty_needs_opt(self, method):
+        with pytest.raises(ValueError, match="linear penalty"):
+            detect(fit("l2", self.DATA), method, Penalty.mbic())
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            detect(fit("l2", self.DATA), "dp", 1)
+
+    def test_opt_with_penalty_is_the_sweep(self):
+        cost = fit("l2", self.DATA)
+        report, trace = detect(cost, "opt", Penalty.mbic())
+        want = detect_with_penalty(cost, Penalty.mbic(), k_max=10)
+        assert trace is None
+        assert report.method == "opt-sweep"
+        assert report.breakpoints == want.breakpoints == [40, 80]
+        assert report.config_echo == want.config_echo
+
+    def test_binseg_returns_its_gain_trace(self):
+        report, trace = detect(fit("l2", self.DATA), "binseg", 1)
+        assert report.breakpoints == [40, 80]
+        assert [t for t, _ in trace] == [40]
+        assert report.penalized_objective is None

@@ -15,6 +15,7 @@ from sigseg import (
     win_score_curve,
     win_segment,
 )
+from sigseg.search import InfeasibleError
 
 
 def step_signal(T=100, at=50, height=5.0):
@@ -51,8 +52,10 @@ class TestOpt:
         assert sum_of_costs(STEP, seg) == 0.0
 
     def test_infeasible(self):
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(InfeasibleError, match="infeasible"):
             opt_segment(fit("l2", np.arange(10.0)), 4, SearchOptions(min_size=3))
+        with pytest.raises(InfeasibleError, match="admissible indexes"):
+            opt_segment(fit("l2", np.arange(10.0)), 4, SearchOptions(min_size=2, jump=3))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_exhaustive_enumeration(self, seed):
@@ -82,7 +85,7 @@ class TestOpt:
         assert seg.bkps == (2, 4, 12)
 
     def test_blocked_and_scalar_paths_agree(self):
-        # the vectorized level update must reproduce the per-start scan
+        # a cost that only implements _one gives the vectorized cost's result
         from sigseg.costs import CostModel
 
         class ScalarL2(CostModel):
@@ -144,6 +147,33 @@ class TestPelt:
         cost = fit("l2", data)
         beta = 2.0 * float(np.var(data))
         assert pelt_segment(cost, beta) == pelt_segment(cost, beta, prune=False)
+
+    @pytest.mark.parametrize("jump", [1, 2])
+    @pytest.mark.parametrize("min_size", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["l2", "normal", "poisson"])
+    def test_pruning_is_lossless_for_every_min_size(self, kind, min_size, jump):
+        # an index pruned at end t stays a candidate for the ends in
+        # (t, t + min_size), which cannot place their last change at t
+        rng = np.random.default_rng([("l2", "normal", "poisson").index(kind), min_size, jump])
+        opts = SearchOptions(min_size=min_size, jump=jump)
+        for _ in range(20):
+            T = int(rng.integers(20, 61))
+            bounds = np.sort(rng.choice(np.arange(1, T), size=int(rng.integers(0, 4)), replace=False))
+            lengths = np.diff(np.concatenate(([0], bounds, [T])))
+            if kind == "l2":
+                data = np.repeat(rng.normal(0, 2, len(lengths)), lengths) + rng.standard_normal(T)
+                beta = float(rng.uniform(0.5, 6.0))
+            elif kind == "normal":
+                data = rng.standard_normal(T) * np.repeat(rng.uniform(0.3, 3.0, len(lengths)), lengths)
+                beta = float(rng.uniform(1.0, 10.0))
+            else:
+                data = rng.poisson(np.repeat(rng.uniform(1.0, 10.0, len(lengths)), lengths)).astype(float)
+                beta = float(rng.uniform(0.5, 6.0))
+            cost = fit(kind, data)
+            got, want = (pelt_segment(cost, beta, opts, prune=prune) for prune in (True, False))
+            got_v = sum_of_costs(cost, got) + beta * got.n_bkps
+            want_v = sum_of_costs(cost, want) + beta * want.n_bkps
+            assert abs(got_v - want_v) <= 1e-9 * (1 + abs(want_v))
 
     def test_respects_grid(self):
         rng = np.random.default_rng(41)
