@@ -2,17 +2,15 @@
 
 Each evaluator answers c(a, b), the single-regime fit cost of samples
 a+1 .. b (1-based), i.e. rows a .. b-1 of the data matrix, from summaries
-precomputed at fit time (prefix sums, rank signal, Gram matrix, lag
-matrix).  Fitted state is immutable, so eval may be called concurrently;
-the lazily cached kernel path synchronizes internally and returns values
-identical to the fully cached path.
+precomputed at fit time (prefix sums, rank signal, the kernel
+interval-cost table, lag matrix).  Fitted state is immutable, so eval may
+be called concurrently.
 
 Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,14 +418,14 @@ class KernelCost(CostModel):
     """Scatter of the signal around its segment mean in kernel feature space.
 
     c(a, b) = sum_t k(y_t, y_t) - (1/n) sum_{s,t} k(y_s, y_t) over the
-    segment.  The Gram matrix is held in full when T <= gram_cap, otherwise
-    rows are computed on demand and cached under a lock; both storage paths
-    return identical values.
+    segment.  Fit builds a dense (T+1) x (T+1) table of every c(a, b), so
+    an interval costs one lookup; the table takes 8 (T+1)^2 bytes (800 MB
+    at T = 10,000).
     """
 
     kind = "kernel"
 
-    def __init__(self, signal: Signal, spec: KernelSpec, gram_cap: int = 10_000):
+    def __init__(self, signal: Signal, spec: KernelSpec):
         super().__init__(signal, min_size=1)
         if spec.kind == "chi2" and (signal.data < 0).any():
             raise ValueError("chi2 kernel requires nonnegative data")
@@ -437,14 +435,7 @@ class KernelCost(CostModel):
         self.spec = spec
         self.kind = f"kernel_{'poly' if spec.kind == 'polynomial' else spec.kind}"
         self._Y = signal.data
-        self._diag_prefix = _prefix(self._diag())
-        self._lock = threading.Lock()
-        self._rows: dict[int, np.ndarray] | None = None
-        self._gram: np.ndarray | None = None
-        if signal.T <= gram_cap:
-            self._gram = np.stack([self._krow(t) for t in range(signal.T)])
-        else:
-            self._rows = {}
+        self._table = self._cost_table()
 
     @staticmethod
     def _median_gamma(signal: Signal, kind: str) -> float:
@@ -461,14 +452,6 @@ class KernelCost(CostModel):
         med = float(np.median(dist[np.triu_indices(len(idx), k=1)])) if len(idx) > 1 else 0.0
         return 1.0 / med if med > 0 else 1.0
 
-    def _diag(self) -> np.ndarray:
-        Y = self._Y
-        if self.spec.kind == "linear":
-            return np.sum(Y * Y, axis=1)
-        if self.spec.kind == "polynomial":
-            return (np.sum(Y * Y, axis=1) + self.spec.const) ** self.spec.deg
-        return np.ones(len(Y))  # rbf and chi2: k(x, x) = 1
-
     def _krow(self, t: int) -> np.ndarray:
         Y, spec = self._Y, self.spec
         if spec.kind == "linear":
@@ -484,23 +467,26 @@ class KernelCost(CostModel):
             terms = np.where(den > 0, diff / den, 0.0)
         return np.exp(-spec.gamma * terms.sum(axis=1))
 
-    def _block(self, a: int, b: int) -> np.ndarray:
-        if self._gram is not None:
-            return np.ascontiguousarray(self._gram[a:b, a:b])
-        with self._lock:
-            rows = []
-            for t in range(a, b):
-                row = self._rows.get(t)
-                if row is None:
-                    row = self._krow(t)
-                    self._rows[t] = row
-                rows.append(row[a:b])
-        return np.stack(rows)
+    def _cost_table(self) -> np.ndarray:
+        # Rows are filled from a = T-1 down to 0.  For the current a,
+        # diag[b] and block[b] hold the sums of k over the diagonal of
+        # [a, b) and over [a, b)^2, extended from row a+1 by Gram row a
+        # alone, so no entry is a difference of large prefix sums.
+        T = self._signal.T
+        table = np.zeros((T + 1, T + 1))
+        sums = np.zeros((2, T + 1))
+        diag, block = sums
+        lengths = np.arange(1, T + 1, dtype=float)
+        for a in range(T - 1, -1, -1):
+            row = self._krow(a)
+            row[a + 1:] *= 2.0
+            block[a + 2:] += np.cumsum(row[a + 1:])
+            sums[:, a + 1:] += row[a]
+            table[a, a + 1:] = diag[a + 1:] - block[a + 1:] / lengths[:T - a]
+        return table
 
-    def _one(self, a, b):
-        n = float(b - a)
-        diag = self._diag_prefix[b] - self._diag_prefix[a]
-        return float(diag - np.sum(self._block(a, b)) / n)
+    def _values(self, starts, ends):
+        return self._table[starts, ends]
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:
@@ -512,7 +498,7 @@ def _prefix(values: np.ndarray) -> np.ndarray:
 
 
 def fit(kind: str, signal, *, covariates=None, order=None, metric=None,
-        gamma=None, const=1.0, deg=2, gram_cap=10_000, regularize=True) -> CostModel:
+        gamma=None, const=1.0, deg=2, regularize=True) -> CostModel:
     """Build the cost evaluator named by `kind` for a signal.
 
     Extra state is per kind: Covariates for the linear costs, the lag order
@@ -549,7 +535,7 @@ def fit(kind: str, signal, *, covariates=None, order=None, metric=None,
         name = kind[len("kernel_"):]
         name = "polynomial" if name == "poly" else name
         spec = KernelSpec(name, gamma=gamma, const=const, deg=deg)
-        return KernelCost(signal, spec, gram_cap=gram_cap)
+        return KernelCost(signal, spec)
     raise ValueError(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
 
 

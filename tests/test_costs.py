@@ -331,25 +331,34 @@ class TestKernel:
         want = helpers.naive_kernel(data, KernelSpec("chi2", gamma=0.4), 1, 9)
         assert rel_close(c.eval(1, 9), want)
 
-    def test_lazy_rows_match_full_gram_exactly(self):
-        rng = np.random.default_rng(22)
-        data = rng.normal(size=(30, 2))
-        full = fit("kernel_rbf", data, gamma=0.8)
-        lazy = fit("kernel_rbf", data, gamma=0.8, gram_cap=0)
-        for a in range(0, 25, 3):
-            for b in range(a + 1, 30, 4):
-                assert full.eval(a, b) == lazy.eval(a, b)
-
-    def test_lazy_path_is_thread_safe(self):
+    def test_concurrent_eval_matches_sequential(self):
         rng = np.random.default_rng(23)
-        data = rng.normal(size=(40, 2))
-        lazy = fit("kernel_rbf", data, gamma=0.3, gram_cap=0)
-        full = fit("kernel_rbf", data, gamma=0.3)
+        c = fit("kernel_rbf", rng.normal(size=(40, 2)), gamma=0.3)
         intervals = [(a, b) for a in range(0, 30, 2) for b in (a + 3, a + 9)]
+        want = [c.eval(a, b) for a, b in intervals] * 4
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda ab: lazy.eval(*ab), intervals * 4))
-        want = [full.eval(a, b) for a, b in intervals] * 4
+            got = list(pool.map(lambda ab: c.eval(*ab), intervals * 4))
         assert got == want
+
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_rbf", "kernel_poly", "kernel_chi2"])
+    def test_large_t_parity_with_double_loop(self, kind):
+        # Short intervals at the end of a long signal with shifted means are
+        # where accumulated sums cancel most.
+        rng = np.random.default_rng(31)
+        T = 5000
+        levels = np.cumsum(rng.uniform(2.0, 4.0, size=(5, 3)) * rng.choice([-1.0, 1.0], size=(5, 3)), axis=0)
+        data = np.repeat(levels, T // 5, axis=0) + rng.normal(size=(T, 3))
+        if kind == "kernel_chi2":
+            data = np.abs(data)
+        c = fit(kind, data)
+        lengths = rng.integers(1, 41, size=100)
+        ends = rng.integers(T - 400 + 40, T + 1, size=100)
+        intervals = [(int(b - n), int(b)) for n, b in zip(lengths, ends)]
+        intervals += [(T - 160, T), (T - 400, T - 270), (T // 2 - 50, T // 2 + 50)]
+        for a, b in intervals:
+            assert rel_close(c.eval(a, b), helpers.naive_kernel(data, c.spec, a, b)), (a, b)
+        for t in range(T - 400, T):
+            assert c.eval(t, t + 1) == 0.0, t
 
     def test_median_heuristic_gamma_resolved(self):
         rng = np.random.default_rng(24)
