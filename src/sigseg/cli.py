@@ -119,6 +119,8 @@ def _resolve_penalty(args, parser, signal) -> pen_mod.Penalty:
     """Parse --pen, filling omitted parameters from the data."""
     name, _, arg = args.pen.partition(":")
     if not arg and name in ("bic", "bic_l2", "aic_l2", "leb"):
+        if name == "leb":
+            parser.error("--pen leb needs explicit parameters: leb:<sigma>,<a1>,<a2>")
         if name == "bic":
             dim = pen_mod.default_bic_dim(args.cost, signal.d)
             if dim is None:
@@ -129,8 +131,6 @@ def _resolve_penalty(args, parser, signal) -> pen_mod.Penalty:
         if sigma <= 0:
             parser.error(f"--pen {name}: cannot estimate a positive noise scale; "
                          f"pass {name}:<sigma>")
-        if name == "leb":
-            parser.error("--pen leb needs explicit parameters: leb:<sigma>,<a1>,<a2>")
         return pen_mod.Penalty.bic_l2(sigma) if name == "bic_l2" else pen_mod.Penalty.aic_l2(sigma)
     return pen_mod.parse_penalty(args.pen)
 

@@ -75,10 +75,11 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
     """Exact minimizer of the sum of costs over segmentations with exactly
     n_bkps changes, by dynamic programming over segment starts.
 
-    O(n_bkps * T^2 / jump^2) cost evaluations, O(n_bkps * T) memory.  Among
-    equal-cost optima, returns the lexicographically smallest breakpoint
-    sequence.  Raises InfeasibleError when no admissible segmentation has
-    n_bkps changes.
+    O(T^2 / jump^2) cost evaluations, each interval once;
+    O(n_bkps * T^2 / jump^2) additions; O(n_bkps * T / jump) memory plus one
+    block of ~200k (start, end) pairs.  Among equal-cost optima, returns the
+    lexicographically smallest breakpoint sequence.  Raises InfeasibleError
+    when no admissible segmentation has n_bkps changes.
     """
     T, msize, jump = _resolved(cost, opts)
     if n_bkps < 0:
@@ -95,41 +96,40 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
         raise InfeasibleError(f"only {len(cands)} admissible indexes for {n_bkps} changes")
     starts = np.concatenate(([0], cands))
 
-    # level[k][i] = best cost of covering (starts[i], T] with k changes.
-    level = cost.eval_batch(starts, T)
-    parents: list[np.ndarray] = []
-    for k in range(1, n_bkps + 1):
-        prev_at_cand = level[1:]  # level k-1 restricted to candidate starts
-        finite = np.isfinite(prev_at_cand)
-        cf, pf = cands[finite], prev_at_cand[finite]
-        nxt = np.full(len(starts), np.inf)
-        par = np.full(len(starts), -1, dtype=np.int64)
-        # Blocks of starts against every candidate end: the feasible pairs
-        # of a block go to the cost in one batched call, the rest stay inf.
-        # Block size keeps the scratch arrays cache-friendly (~200k pairs).
-        block = max(1, 200_000 // max(1, len(cf)))
-        for i0 in range(0, len(starts), block):
-            sb = starts[i0:i0 + block]
-            valid = cf[None, :] >= sb[:, None] + msize
-            if not valid.any():
-                continue
-            rows, cols = np.nonzero(valid)
-            vals = np.full(valid.shape, np.inf)
-            vals[rows, cols] = cost.eval_batch(sb[rows], cf[cols]) + pf[cols]
+    # level[k, i] = best cost of covering (starts[i], T] with k changes; it
+    # reads level k-1 only at candidates after starts[i].  Blocks of starts
+    # run right to left with every level solved per block, so level k-1 is
+    # known wherever level k reads it, and each block's feasible (start,
+    # candidate end) pairs go to the cost once, in one batched call.  Block
+    # size keeps the scratch arrays cache-friendly (~200k pairs).
+    level = np.full((n_bkps + 1, len(starts)), np.inf)
+    level[0] = cost.eval_batch(starts, T)
+    parent = np.full((n_bkps + 1, len(starts)), -1, dtype=np.int64)
+    block = max(1, 200_000 // len(cands))
+    for i1 in range(len(starts), 0, -block):
+        i0 = max(0, i1 - block)
+        sb = starts[i0:i1]
+        j0 = int(np.searchsorted(cands, sb[0] + msize))  # first end of any start here
+        cb = cands[j0:]
+        valid = cb[None, :] >= sb[:, None] + msize
+        if not valid.any():
+            continue
+        rows, cols = np.nonzero(valid)
+        slab = np.full(valid.shape, np.inf)
+        slab[rows, cols] = cost.eval_batch(sb[rows], cb[cols])
+        for k in range(1, n_bkps + 1):
+            vals = slab + level[k - 1, 1 + j0:]
             j = np.argmin(vals, axis=1)  # first minimum: smallest t
             best = vals[np.arange(len(sb)), j]
             ok = np.isfinite(best)
-            nxt[i0:i0 + len(sb)][ok] = best[ok]
-            par[i0:i0 + len(sb)][ok] = cf[j[ok]]
-        parents.append(par)
-        level = nxt
+            level[k, i0:i1][ok] = best[ok]
+            parent[k, i0:i1][ok] = cb[j[ok]]
 
-    if not np.isfinite(level[0]):
+    if not np.isfinite(level[n_bkps, 0]):
         raise InfeasibleError(f"no admissible segmentation with {n_bkps} changes")
-    pos = {int(s): i for i, s in enumerate(starts)}
     bkps, cur = [], 0
     for k in range(n_bkps, 0, -1):
-        cur = int(parents[k - 1][pos[cur]])
+        cur = int(parent[k, np.searchsorted(starts, cur)])
         bkps.append(cur)
     return make_segmentation(bkps, T)
 

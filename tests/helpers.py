@@ -5,7 +5,7 @@ exhaustive enumeration, deliberately avoiding the library's prefix-sum,
 Gram, and dynamic-programming paths.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 import math
 
 import numpy as np
@@ -121,19 +121,28 @@ def naive_kernel(data, spec, a, b):
 
 
 def exhaustive_best(cost, n_bkps, min_size, jump=1):
-    """Minimum sum of costs over every admissible breakpoint combination."""
+    """Minimum sum of costs over every admissible breakpoint combination.
+
+    Combinations are enumerated in lexicographic order and scored in chunks,
+    one batched cost call per chunk; the first minimum wins.
+    """
     T = cost.signal.T
     if n_bkps == 0:
         return cost.eval(0, T), [T]
     cands = [t for t in range(jump, T, jump) if min_size <= t <= T - min_size]
+    combos = combinations(cands, n_bkps)
     best_v, best_pts = np.inf, None
-    for combo in combinations(cands, n_bkps):
-        bounds = [0, *combo, T]
-        if any(hi - lo < min_size for lo, hi in zip(bounds, bounds[1:])):
+    while chunk := list(islice(combos, 50_000)):
+        bounds = np.pad(np.array(chunk, dtype=np.int64), ((0, 0), (1, 1)),
+                        constant_values=((0, 0), (0, T)))
+        bounds = bounds[(np.diff(bounds, axis=1) >= min_size).all(axis=1)]
+        if len(bounds) == 0:
             continue
-        v = float(np.sum(cost.eval_batch(np.array(bounds[:-1]), np.array(bounds[1:]))))
-        if v < best_v:
-            best_v, best_pts = v, list(combo)
+        v = cost.eval_batch(bounds[:, :-1].ravel(), bounds[:, 1:].ravel())
+        v = v.reshape(len(bounds), n_bkps + 1).sum(axis=1)
+        j = int(np.argmin(v))
+        if v[j] < best_v:
+            best_v, best_pts = float(v[j]), [int(t) for t in bounds[j, 1:-1]]
     return best_v, (best_pts or []) + [T]
 
 

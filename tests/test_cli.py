@@ -148,6 +148,16 @@ class TestDetect:
         assert code == 2
         assert "--covariates" in err
 
+    def test_bare_leb_rejected_before_noise_estimate(self, tmp_path, capsys):
+        # a constant signal has no noise scale to estimate; the usage error
+        # must still name leb's own parameters, not suggest leb:<sigma>
+        csv = write_step_csv(tmp_path / "flat.csv", height=0.0)
+        code, _, err = run(capsys, "detect", "--input", csv, "--method", "opt",
+                           "--cost", "l2", "--pen", "leb")
+        assert code == 2
+        assert "needs explicit parameters" in err
+        assert "noise scale" not in err
+
     def test_mahalanobis_via_matrix_file(self, tmp_path, capsys):
         csv = write_step_csv(tmp_path / "step.csv")
         mfile = tmp_path / "metric.csv"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,17 +59,69 @@ class TestOpt:
         with pytest.raises(InfeasibleError, match="admissible indexes"):
             opt_segment(fit("l2", np.arange(10.0)), 4, SearchOptions(min_size=2, jump=3))
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_exhaustive_enumeration(self, seed):
+    EXHAUSTIVE_CASES = [pytest.param("l2", 2, 1, seed, id=str(seed)) for seed in range(12)] + [
+        pytest.param(kind, min_size, jump, seed, id=f"{kind}-min{min_size}-jump{jump}")
+        for seed, (kind, min_size, jump) in enumerate(
+            itertools.product(("normal", "poisson", "kernel_rbf"), (1, 2, 3), (1, 2)), start=12)
+    ]
+
+    @pytest.mark.parametrize("kind, min_size, jump, seed", EXHAUSTIVE_CASES)
+    def test_matches_exhaustive_enumeration(self, kind, min_size, jump, seed):
         rng = np.random.default_rng(seed)
         T = int(rng.integers(15, 41))
         K = int(rng.integers(1, 3))
-        cost = fit("l2", rng.normal(size=(T, 2)))
-        opts = SearchOptions(min_size=2)
-        want_v, _ = helpers.exhaustive_best(cost, K, min_size=2)
-        seg = opt_segment(cost, K, opts)
+        data = rng.normal(size=(T, 2))
+        if kind == "poisson":
+            data = rng.poisson(3.0, size=(T, 2)).astype(float)
+        cost = fit(kind, data, gamma=0.5 if kind == "kernel_rbf" else None)
+        msize = max(min_size, cost.min_size)
+        want_v, _ = helpers.exhaustive_best(cost, K, min_size=msize, jump=jump)
+        seg = opt_segment(cost, K, SearchOptions(min_size=min_size, jump=jump))
         got_v = sum_of_costs(cost, seg)
         assert abs(got_v - want_v) <= 1e-9 * (1 + abs(want_v))
+        assert all(t % jump == 0 for t in seg.interior)
+        assert min(np.diff([0, *seg.bkps])) >= msize
+
+    @pytest.mark.parametrize("kind", ["l2", "poisson"])
+    @pytest.mark.parametrize("min_size", [1, 3])
+    def test_multi_block_matches_exhaustive_enumeration(self, kind, min_size):
+        # 600 starts against ~600 candidate ends exceed one block of ~200k
+        # (start, end) pairs, so the DP spans two blocks of starts; both
+        # changes lie in the right block, which the left block reads
+        rng = np.random.default_rng(600 + min_size)
+        T = 600
+        data = np.repeat(rng.normal(scale=2.0, size=(3, 2)), [380, 120, 100], axis=0)
+        data += rng.normal(size=(T, 2))
+        if kind == "poisson":
+            data = rng.poisson(np.exp(1 + data / 4)).astype(float)
+        cost = fit(kind, data)
+        n_cands = T - 2 * min_size + 1
+        assert (n_cands + 1) * n_cands > 200_000
+        want_v, _ = helpers.exhaustive_best(cost, 2, min_size=min_size)
+        seg = opt_segment(cost, 2, SearchOptions(min_size=min_size))
+        got_v = sum_of_costs(cost, seg)
+        assert abs(got_v - want_v) <= 1e-9 * (1 + abs(want_v))
+
+    def test_each_interval_evaluated_once(self):
+        from sigseg.costs import L2Cost
+        from sigseg.signals import as_signal
+
+        class CountingL2(L2Cost):
+            def __init__(self, signal):
+                super().__init__(signal)
+                self.pairs = []
+
+            def eval_batch(self, starts, ends):
+                s, e = np.broadcast_arrays(starts, ends)
+                self.pairs.extend(zip(s.ravel().tolist(), e.ravel().tolist()))
+                return super().eval_batch(starts, ends)
+
+        rng = np.random.default_rng(41)
+        data = rng.normal(size=(500, 2))
+        cost = CountingL2(as_signal(data))
+        seg = opt_segment(cost, 3, SearchOptions(min_size=2))
+        assert len(cost.pairs) == len(set(cost.pairs))
+        assert seg == opt_segment(fit("l2", data), 3, SearchOptions(min_size=2))
 
     def test_respects_jump_grid_and_min_size(self):
         rng = np.random.default_rng(40)
