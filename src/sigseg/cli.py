@@ -140,19 +140,18 @@ def cmd_detect(args, parser) -> int:
         parser.error("exactly one of --n-bkps and --pen is required")
     if args.curve_out and args.method not in ("win", "binseg"):
         parser.error("--curve-out only applies to --method win or binseg")
+    if args.pen is None and args.method == "pelt":
+        parser.error("--method pelt requires --pen with a linear penalty, not --n-bkps")
 
     signal = signals_mod.load_csv(args.input)
-    cost = _fit_cost(args, parser, signal)
-    opts = search_mod.SearchOptions(min_size=args.min_size, jump=args.jump)
-
     pen = None
     if args.pen is not None:
         pen = _resolve_penalty(args, parser, signal)
         if args.method != "opt" and not pen.is_linear:
             parser.error(f"--method {args.method} requires a linear penalty "
                          f"(l0, bic, bic_l2, aic_l2), got --pen {args.pen}")
-    elif args.method == "pelt":
-        parser.error("--method pelt requires --pen with a linear penalty, not --n-bkps")
+    cost = _fit_cost(args, parser, signal)
+    opts = search_mod.SearchOptions(min_size=args.min_size, jump=args.jump)
 
     report, trace = pen_mod.detect(cost, args.method, args.n_bkps if pen is None else pen, opts,
                                    window=args.window, delta=args.delta)

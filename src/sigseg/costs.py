@@ -11,7 +11,8 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +54,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}, expected one of {KERNEL_KINDS}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not math.isfinite(self.const):
+            raise ValueError(f"const must be finite, got {self.const}")
         if self.deg < 1:
             raise ValueError("deg must be >= 1")
 
@@ -62,40 +65,22 @@ class KernelSpec:
 class Covariates:
     """Regressors for the piecewise linear costs.
 
-    x holds the per-segment (changing) regressors, z the optional
-    regressors shared across segments; per-segment fits treat both as free.
+    Every column of x is a per-segment regressor.  Coefficients shared across
+    segments (the partial structural-change model) are out of scope.
     """
 
-    __slots__ = ("x", "z")
+    __slots__ = ("x",)
 
-    def __init__(self, x, z=None):
-        self.x = self._matrix(x, "x")
-        self.z = None if z is None else self._matrix(z, "z")
-        if self.z is not None and self.z.shape[0] != self.x.shape[0]:
-            raise ValueError("x and z must have the same number of rows")
-
-    @staticmethod
-    def _matrix(arr, name):
-        out = np.asarray(arr, dtype=float)
+    def __init__(self, x):
+        out = np.asarray(x, dtype=float)
         if out.ndim == 1:
             out = out[:, None]
         if out.ndim != 2:
-            raise ValueError(f"covariates {name} must be 1-D or 2-D")
+            raise ValueError("covariates x must be 1-D or 2-D")
         if not np.isfinite(out).all():
-            raise ValueError(f"covariates {name} contain NaN or Inf")
-        out = out.copy()
-        out.flags.writeable = False
-        return out
-
-    @property
-    def design(self) -> np.ndarray:
-        if self.z is None:
-            return self.x
-        return np.hstack([self.x, self.z])
-
-    @property
-    def n_params(self) -> int:
-        return self.x.shape[1] + (0 if self.z is None else self.z.shape[1])
+            raise ValueError("covariates x contain NaN or Inf")
+        self.x = out.copy()
+        self.x.flags.writeable = False
 
 
 class CostModel:
@@ -251,40 +236,39 @@ class LinearCost(CostModel):
 
     def __init__(self, signal: Signal, covariates: Covariates):
         if signal.d != 1:
-            raise ValueError("linear cost expects a univariate response")
+            raise ValueError(f"{self.kind} cost expects a univariate response")
         if covariates.x.shape[0] != signal.T:
             raise ValueError("covariates must have the same length as the signal")
-        super().__init__(signal, min_size=covariates.n_params)
-        self._design = covariates.design
+        super().__init__(signal, min_size=covariates.x.shape[1])
+        self._design = covariates.x
         self._y = signal.data[:, 0]
 
     def _one(self, a, b):
-        W = self._design[a:b]
-        y = self._y[a:b]
-        coef = np.linalg.lstsq(W, y, rcond=None)[0]
-        resid = y - W @ coef
-        return float(resid @ resid)
+        return _lstsq_residual(self._design[a:b], self._y[a:b])
 
 
-class LinearL1Cost(CostModel):
+class LinearL1Cost(LinearCost):
     """Least absolute deviations residual, solved by reweighted least squares."""
 
     kind = "linear_l1"
-
-    def __init__(self, signal: Signal, covariates: Covariates):
-        if signal.d != 1:
-            raise ValueError("linear_l1 cost expects a univariate response")
-        if covariates.x.shape[0] != signal.T:
-            raise ValueError("covariates must have the same length as the signal")
-        super().__init__(signal, min_size=covariates.n_params)
-        self._design = covariates.design
-        self._y = signal.data[:, 0]
 
     def _one(self, a, b):
         return irls_lad(self._design[a:b], self._y[a:b])[0]
 
 
-def irls_lad(design, y, *, weight_floor=1e-8, max_iter=50, rel_tol=1e-10):
+def _lstsq_residual(W, y) -> float:
+    """Residual sum of squares of the minimum-norm least-squares fit of y on W."""
+    coef = np.linalg.lstsq(W, y, rcond=None)[0]
+    resid = y - W @ coef
+    return float(resid @ resid)
+
+
+_LAD_WEIGHT_FLOOR = 1e-8
+_LAD_MAX_ITER = 50
+_LAD_REL_TOL = 1e-10
+
+
+def irls_lad(design, y):
     """Minimize sum |y - design @ u| by iteratively reweighted least squares.
 
     Starts from the least-squares fit; each accepted iterate lowers the
@@ -295,15 +279,15 @@ def irls_lad(design, y, *, weight_floor=1e-8, max_iter=50, rel_tol=1e-10):
     resid = y - design @ coef
     best = float(np.abs(resid).sum())
     history = [best]
-    for _ in range(max_iter):
-        w = np.sqrt(1.0 / np.maximum(np.abs(resid), weight_floor))
+    for _ in range(_LAD_MAX_ITER):
+        w = np.sqrt(1.0 / np.maximum(np.abs(resid), _LAD_WEIGHT_FLOOR))
         coef = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)[0]
         resid = y - design @ coef
         cur = float(np.abs(resid).sum())
         if cur > best:
             break
         history.append(cur)
-        converged = best - cur < rel_tol * max(best, 1.0)
+        converged = best - cur < _LAD_REL_TOL * max(best, 1.0)
         best = cur
         if converged:
             break
@@ -344,11 +328,7 @@ class ARCost(CostModel):
         if 0 < a < p:
             raise ValueError(f"ar cost needs interval start 0 or >= order ({p}), got {a}")
         s = max(a, p)
-        W = self._design[s - p : b - p]
-        y = self._resp[s - p : b - p]
-        coef = np.linalg.lstsq(W, y, rcond=None)[0]
-        resid = y - W @ coef
-        return float(resid @ resid)
+        return _lstsq_residual(self._design[s - p : b - p], self._resp[s - p : b - p])
 
 
 class RankCost(CostModel):
@@ -430,11 +410,9 @@ class KernelCost(CostModel):
         if spec.kind == "chi2" and (signal.data < 0).any():
             raise ValueError("chi2 kernel requires nonnegative data")
         if spec.kind in ("rbf", "chi2") and spec.gamma is None:
-            spec = KernelSpec(spec.kind, gamma=self._median_gamma(signal, spec.kind),
-                              const=spec.const, deg=spec.deg)
+            spec = replace(spec, gamma=self._median_gamma(signal, spec.kind))
         self.spec = spec
         self.kind = f"kernel_{'poly' if spec.kind == 'polynomial' else spec.kind}"
-        self._Y = signal.data
         self._table = self._cost_table()
 
     @staticmethod
@@ -442,30 +420,17 @@ class KernelCost(CostModel):
         # Median heuristic on an evenly spaced subsample; deterministic.
         idx = np.unique(np.linspace(0, signal.T - 1, min(signal.T, 256)).astype(int))
         Y = signal.data[idx]
-        diff = Y[:, None, :] - Y[None, :, :]
-        if kind == "chi2":
-            den = Y[:, None, :] + Y[None, :, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dist = np.where(den > 0, diff * diff / den, 0.0).sum(axis=2)
-        else:
-            dist = np.sum(diff * diff, axis=2)
+        dist = _distance(kind, Y[:, None, :], Y[None, :, :])
         med = float(np.median(dist[np.triu_indices(len(idx), k=1)])) if len(idx) > 1 else 0.0
         return 1.0 / med if med > 0 else 1.0
 
     def _krow(self, t: int) -> np.ndarray:
-        Y, spec = self._Y, self.spec
+        Y, spec = self._signal.data, self.spec
         if spec.kind == "linear":
             return Y @ Y[t]
         if spec.kind == "polynomial":
             return (Y @ Y[t] + spec.const) ** spec.deg
-        if spec.kind == "rbf":
-            diff = Y - Y[t]
-            return np.exp(-spec.gamma * np.sum(diff * diff, axis=1))
-        diff = (Y - Y[t]) ** 2
-        den = Y + Y[t]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(den > 0, diff / den, 0.0)
-        return np.exp(-spec.gamma * terms.sum(axis=1))
+        return np.exp(-spec.gamma * _distance(spec.kind, Y, Y[t]))
 
     def _cost_table(self) -> np.ndarray:
         # Rows are filled from a = T-1 down to 0.  For the current a,
@@ -487,6 +452,16 @@ class KernelCost(CostModel):
 
     def _values(self, starts, ends):
         return self._table[starts, ends]
+
+
+def _distance(kind: str, A, B) -> np.ndarray:
+    """rbf (squared Euclidean) or chi2 distance over the last axis; 0/0 chi2 terms are 0."""
+    diff = A - B
+    if kind == "chi2":
+        den = A + B
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, diff * diff / den, 0.0).sum(axis=-1)
+    return np.sum(diff * diff, axis=-1)
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:

@@ -42,6 +42,10 @@ class Penalty:
     def __post_init__(self):
         if self.variant not in PENALTY_VARIANTS:
             raise ValueError(f"unknown penalty {self.variant!r}, expected one of {PENALTY_VARIANTS}")
+        for name in ("beta", "dim", "sigma", "a1", "a2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.variant} penalty: {name} must be finite, got {value}")
         if self.variant == "l0" and (self.beta is None or self.beta <= 0):
             raise ValueError("l0 penalty needs beta > 0")
         if self.variant == "bic" and (self.dim is None or self.dim < 1):
@@ -188,7 +192,8 @@ def detect_with_penalty(cost: CostModel, pen: Penalty, k_max: int,
     Linear penalties run the pruned exact search with the equivalent per
     change charge; others sweep the fixed-count search for K = 0 .. k_max
     and keep the best penalized objective (smallest K on ties).  The sweep
-    stops at the first infeasible K; any other error propagates.
+    stops at the first infeasible K >= 1; an infeasible K = 0 and any other
+    error propagate.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -208,6 +213,8 @@ def detect_with_penalty(cost: CostModel, pen: Penalty, k_max: int,
             try:
                 seg_k = opt_segment(cost, k, opts)
             except InfeasibleError:
+                if k == 0:
+                    raise  # no segmentation fits at all
                 break  # k and above infeasible
             obj = sum_of_costs(cost, seg_k) + pen_value(pen, seg_k)
             if obj < best_obj:

@@ -10,6 +10,7 @@ toward the smallest index everywhere, so outputs are deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class StoppingRule:
             raise ValueError("exactly one of n_bkps and threshold must be set")
         if self.n_bkps is not None and self.n_bkps < 1:
             raise ValueError("n_bkps must be >= 1")
-        if self.threshold is not None and self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+        if self.threshold is not None and not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
     @classmethod
     def fixed_k(cls, k: int) -> "StoppingRule":
@@ -146,8 +147,8 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     changes the result for costs where splitting cannot increase the cost;
     pass prune=False to force the full quadratic scan.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     T, msize, jump = _resolved(cost, opts)
     if T < msize:
         raise ValueError(f"T={T} shorter than min_size={msize}")

@@ -250,11 +250,25 @@ def load_csv(path) -> Signal:
 
     width = len(rows[start])
     values = []
-    for i, row in enumerate(rows[start:], start=start + 1):
+    for i, row in enumerate(rows[start:], start=start):
         if len(row) != width:
-            raise ValueError(f"ragged input: line {i} has {len(row)} cells, expected {width}")
+            raise ValueError(f"ragged input: line {_line_of_row(path, i)} has {len(row)} cells, "
+                             f"expected {width}")
         try:
             values.append([float(cell) for cell in row])
         except ValueError as exc:
-            raise ValueError(f"non-numeric cell on line {i}: {exc}") from None
+            raise ValueError(f"non-numeric cell on line {_line_of_row(path, i)}: {exc}") from None
     return Signal(np.array(values))
+
+
+def _line_of_row(path, index: int) -> int:
+    """1-based physical line of the index-th non-blank row, for load_csv's
+    errors; the file is read again so that parsing keeps no line numbers."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                if index == 0:
+                    return reader.line_num
+                index -= 1
+    raise ValueError(f"{path} changed while being read")

@@ -74,6 +74,39 @@ class TestDetect:
         assert code == 1
         assert "error" in err
 
+    def test_flag_errors_precede_reading_the_input(self, tmp_path, capsys):
+        code, _, err = run(capsys, "detect", "--input", str(tmp_path / "nope.csv"),
+                           "--method", "pelt", "--cost", "l2", "--n-bkps", "1")
+        assert code == 2
+        assert "--method pelt requires --pen" in err
+
+    def test_no_feasible_change_count_is_data_error(self, tmp_path, capsys):
+        # normal needs d + 1 = 4 samples per segment, more than T = 3
+        path = tmp_path / "short.csv"
+        path.write_text("1,2,3\n4,5,7\n9,8,6\n")
+        code, out, err = run(capsys, "detect", "--input", str(path), "--method", "opt",
+                             "--cost", "normal", "--pen", "mbic")
+        assert code == 1
+        assert out == ""
+        assert "infeasible" in err
+
+    @pytest.mark.parametrize("method, pen", [("binseg", "l0:nan"), ("pelt", "l0:inf"),
+                                             ("opt", "leb:nan,1,1")])
+    def test_non_finite_penalty_is_data_error(self, tmp_path, capsys, method, pen):
+        csv = write_step_csv(tmp_path / "step.csv")
+        code, out, err = run(capsys, "detect", "--input", csv, "--method", method,
+                             "--cost", "l2", "--pen", pen)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_non_finite_gamma_is_data_error(self, tmp_path, capsys):
+        csv = write_step_csv(tmp_path / "step.csv")
+        code, _, err = run(capsys, "detect", "--input", csv, "--method", "binseg",
+                           "--cost", "kernel_rbf", "--n-bkps", "1", "--gamma", "nan")
+        assert code == 1
+        assert "gamma must be finite" in err
+
     def test_report_roundtrip_rescores(self, tmp_path, capsys):
         csv = write_step_csv(tmp_path / "step.csv", T=120, at=70, height=3.0)
         out_path = tmp_path / "report.json"

@@ -138,12 +138,20 @@ class TestLinear:
         assert rel_close(got, helpers.naive_linear(x, y, 0, 5))
 
     def test_min_size_counts_both_blocks(self):
-        x = np.ones((12, 2))
-        z = np.ones((12, 1))
-        c = fit("linear", np.arange(12.0), covariates=Covariates(x, z))
+        x = np.ones((12, 3))
+        c = fit("linear", np.arange(12.0), covariates=Covariates(x))
         assert c.min_size == 3
         with pytest.raises(ValueError, match="min_size"):
             c.eval(0, 2)
+
+
+@pytest.mark.parametrize("kind", ["linear", "linear_l1"])
+def test_regression_costs_share_validation(kind):
+    with pytest.raises(ValueError, match=f"^{kind} cost expects a univariate response"):
+        fit(kind, np.ones((6, 2)), covariates=np.ones(6))
+    with pytest.raises(ValueError, match="same length"):
+        fit(kind, np.ones(6), covariates=np.ones(5))
+    assert fit(kind, np.arange(6.0), covariates=np.ones((6, 2))).min_size == 2
 
 
 class TestLinearL1:
@@ -319,6 +327,13 @@ class TestKernel:
         c = fit("kernel_poly", data, const=1.5, deg=3)
         want = helpers.naive_kernel(data, KernelSpec("polynomial", const=1.5, deg=3), 2, 10)
         assert rel_close(c.eval(2, 10), want)
+
+    @pytest.mark.parametrize("params", [
+        {"gamma": math.nan}, {"gamma": math.inf}, {"const": math.nan}, {"const": -math.inf},
+    ])
+    def test_spec_rejects_non_finite(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("rbf", **params)
 
     def test_chi2_rejects_negative_data(self):
         with pytest.raises(ValueError, match="nonnegative"):

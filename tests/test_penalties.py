@@ -18,6 +18,7 @@ from sigseg import (
     pen_value,
     sum_of_costs,
 )
+from sigseg.search import InfeasibleError
 
 
 class TestPenValue:
@@ -66,6 +67,18 @@ class TestPenValue:
         with pytest.raises(ValueError):
             Penalty.leb(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("variant, params", [
+        ("l0", {"beta": math.nan}), ("l0", {"beta": math.inf}),
+        ("bic", {"dim": math.nan}), ("bic", {"dim": math.inf}),
+        ("bic_l2", {"sigma": math.inf}), ("aic_l2", {"sigma": math.nan}),
+        ("leb", {"sigma": math.nan, "a1": 1.0, "a2": 1.0}),
+        ("leb", {"sigma": 1.0, "a1": math.inf, "a2": 1.0}),
+        ("leb", {"sigma": 1.0, "a1": 1.0, "a2": math.nan}),
+    ])
+    def test_rejects_non_finite(self, variant, params):
+        with pytest.raises(ValueError, match="must be finite"):
+            Penalty(variant, **params)
+
 
 class TestParsePenalty:
     def test_round_trip(self):
@@ -74,7 +87,8 @@ class TestParsePenalty:
             assert parse_penalty(pen.identifier) == pen
 
     def test_rejects_garbage(self):
-        for text in ("l0", "l0:x", "mbic:3", "leb:1,2", "nope:1"):
+        for text in ("l0", "l0:x", "mbic:3", "leb:1,2", "nope:1", "l0:nan", "bic_l2:inf",
+                     "leb:nan,1,1"):
             with pytest.raises(ValueError):
                 parse_penalty(text)
 
@@ -168,6 +182,12 @@ class TestDetectWithPenalty:
         report = detect_with_penalty(fit("l2", data), Penalty.mbic(), k_max=10,
                                      opts=SearchOptions(min_size=5))
         assert report.breakpoints == [10, 20]
+
+    def test_sweep_raises_when_no_count_is_feasible(self):
+        # even K = 0 needs a segment of min_size > T samples
+        with pytest.raises(InfeasibleError, match="infeasible"):
+            detect_with_penalty(fit("l2", np.arange(5.0)), Penalty.mbic(), 3,
+                                SearchOptions(min_size=10))
 
     def test_sweep_monotone_costs(self):
         rng = np.random.default_rng(4)

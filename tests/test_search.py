@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ class TestStoppingRule:
             StoppingRule.fixed_k(0)
         with pytest.raises(ValueError):
             StoppingRule.penalty_threshold(0.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            StoppingRule.penalty_threshold(threshold)
 
 
 class TestOpt:
@@ -171,6 +177,11 @@ class TestPelt:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             pelt_segment(STEP, 0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            pelt_segment(STEP, beta)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_k_sweep(self, seed):

@@ -177,6 +177,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n\n3,4\n5\n", "ragged input: line 4 "),
+        ("x,y\n\n1,2\r\n\n3,oops\n", "non-numeric cell on line 5:"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
