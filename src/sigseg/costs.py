@@ -12,6 +12,7 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +59,8 @@ class KernelSpec:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not math.isfinite(self.const):
             raise ValueError(f"const must be finite, got {self.const}")
-        if self.deg < 1:
-            raise ValueError("deg must be >= 1")
+        if isinstance(self.deg, bool) or not isinstance(self.deg, numbers.Integral) or self.deg < 1:
+            raise ValueError(f"deg must be an integer >= 1, got {self.deg!r}")
 
 
 class Covariates:
@@ -77,6 +78,8 @@ class Covariates:
             out = out[:, None]
         if out.ndim != 2:
             raise ValueError("covariates x must be 1-D or 2-D")
+        if out.shape[1] == 0:
+            raise ValueError("covariates x must have at least one column")
         if not np.isfinite(out).all():
             raise ValueError("covariates x contain NaN or Inf")
         self.x = out.copy()

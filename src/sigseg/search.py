@@ -146,6 +146,25 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     in (t, t + min_size) cannot place their last change at t.  Pruning never
     changes the result for costs where splitting cannot increase the cost;
     pass prune=False to force the full quadratic scan.
+
+    Ends run in blocks of up to 24 consecutive ends, with one batched cost
+    call per block for every admissible (candidate, end) pair, where the
+    candidates are those left by earlier blocks and the block's own ends.
+    An end's best can continue the best of an earlier end in the same
+    block, so the block repeats one vectorised pass until its bests stop
+    changing.  Each pass settles at least one more end, and two passes do
+    when no end's best places its last change inside the block.  Each best
+    is (best[s] + c(s, t)) + beta as in an end-by-end scan, bit for bit.
+
+    Pruning runs once per block, so a candidate beaten inside a block is
+    still scored up to the block's last end: about 12 extra evaluations per
+    pruned candidate, which is why blocks stay short.  That adds only
+    candidates that lose, which cannot change the result.  Where the cost or
+    rounding breaks the pruning inequality and such a candidate wins an
+    end, the block is cut before that end and the next block starts there
+    without it, so the breakpoints always equal the end-by-end scan's.
+    Scratch: a few arrays of (candidates + 24) x 24 entries, with fewer
+    ends per block beyond ~200k pairs.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
@@ -160,22 +179,50 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     best = np.full(T + 1, np.inf)
     best[0] = -beta
     parent = np.zeros(T + 1, dtype=np.int64)
-    # Admissible last changes in increasing order, each with the first end
-    # at which it is pruned (T + 1: not pruned).
+    # Admissible last changes left by earlier blocks, in increasing order,
+    # each with the first end at which it is pruned (T + 1: not pruned).
     adm = np.zeros(1, dtype=np.int64)
     dead_at = np.full(1, T + 1, dtype=np.int64)
-    for t in ends:
-        alive = dead_at > t
+    b0 = 0
+    while b0 < len(ends):
+        alive = dead_at > ends[b0]
         adm, dead_at = adm[alive], dead_at[alive]
-        n = np.searchsorted(adm, t - msize, side="right")  # adm[:n] lie >= min_size before t
-        vals = best[adm[:n]] + cost.eval_batch(adm[:n], t) + beta
-        j = int(np.argmin(vals))
-        best[t], parent[t] = vals[j], adm[j]
+        n_old = len(adm)
+        E = ends[b0:b0 + max(1, min(24, 200_000 // n_old))]
+        B = len(E)
+        # Row r is the last change cand[r], column j the end E[j]; pairs
+        # shorter than min_size stay inf.
+        cand = np.concatenate((adm, E))
+        ok = cand[:, None] <= E - msize
+        rows, cols = np.nonzero(ok)
+        C = np.full(ok.shape, np.inf)
+        C[rows, cols] = cost.eval_batch(cand[rows], E[cols])
+        # head[r] = best[cand[r]]; the block's own bests start unknown.
+        head = np.concatenate((best[adm], np.full(B, np.inf)))
+        for _ in range(B + 1):
+            W = head[:, None] + C + beta
+            win = W.argmin(axis=0)  # first minimum: the smallest index
+            bE = W[win, np.arange(B)]
+            if np.array_equal(bE, head[n_old:]):
+                break
+            head[n_old:] = bE
+
+        dead = np.concatenate((dead_at, np.full(B, T + 1)))
+        stop = B
         if prune:
-            beaten = vals - beta > best[t]
-            dead_at[:n][beaten] = np.minimum(dead_at[:n][beaten], t + msize)
-        adm = np.append(adm, t)
-        dead_at = np.append(dead_at, T + 1)
+            beaten = ok & (W - beta > bE)
+            first = np.where(beaten.any(axis=1), beaten.argmax(axis=1), B)
+            kill = np.append(E + msize, T + 1)[first]
+            # A winner that the end-by-end scan had already pruned.
+            late = np.minimum(dead, kill)[win] <= E
+            if late.any():
+                stop = int(late.argmax())
+                kill[first >= stop] = T + 1
+            dead = np.minimum(dead, kill)
+        best[E[:stop]] = bE[:stop]
+        parent[E[:stop]] = cand[win[:stop]]
+        adm, dead_at = cand[:n_old + stop], dead[:n_old + stop]
+        b0 += stop
 
     chain = []
     cur = int(parent[T])

@@ -146,6 +146,41 @@ def exhaustive_best(cost, n_bkps, min_size, jump=1):
     return best_v, (best_pts or []) + [T]
 
 
+def optimal_partitioning(cost, beta, min_size, jump=1, prune=False):
+    """Breakpoints minimizing the sum of costs + beta per change.
+
+    The plain O(T^2) optimal-partitioning recursion over every admissible
+    last change of every end, one cost.eval per pair.  Ends are the
+    multiples of jump in [min_size, T) and T itself; among equal objectives
+    the smallest last change wins.  With prune, the end-by-end PELT rule:
+    a last change s beaten at end t, best[s] + c(s, t) > best[t], is
+    skipped from end t + min_size on.
+    """
+    T = cost.signal.T
+    min_size = max(min_size, cost.min_size)
+    ends = [t for t in range(jump, T, jump) if t >= min_size] + [T]
+    best, last, dead_at = {0: -beta}, {}, {}
+    for t in ends:
+        vals = {}
+        for s in [0] + ends:
+            if s > t - min_size:
+                break
+            if dead_at.get(s, T + 1) <= t:
+                continue
+            vals[s] = v = best[s] + cost.eval(s, t) + beta
+            if t not in best or v < best[t]:
+                best[t], last[t] = v, s
+        if prune:
+            for s, v in vals.items():
+                if v - beta > best[t]:
+                    dead_at.setdefault(s, t + min_size)
+    bkps, t = [], T
+    while t:
+        bkps.append(t)
+        t = last[t]
+    return bkps[::-1]
+
+
 def pairwise_rand_index(truth, pred):
     """O(T^2) enumeration over unordered sample pairs."""
 

@@ -144,6 +144,13 @@ class TestLinear:
         with pytest.raises(ValueError, match="min_size"):
             c.eval(0, 2)
 
+    def test_rejects_zero_column_covariates(self):
+        # no regressor would give min_size 0 and score empty intervals as 0
+        with pytest.raises(ValueError, match="at least one column"):
+            fit("linear", np.arange(10.0), covariates=np.ones((10, 0)))
+        with pytest.raises(ValueError, match="at least one column"):
+            Covariates(np.ones((10, 0)))
+
 
 @pytest.mark.parametrize("kind", ["linear", "linear_l1"])
 def test_regression_costs_share_validation(kind):
@@ -334,6 +341,18 @@ class TestKernel:
     def test_spec_rejects_non_finite(self, params):
         with pytest.raises(ValueError, match="finite"):
             KernelSpec("rbf", **params)
+
+    @pytest.mark.parametrize("deg", [2.5, True, 0])
+    def test_spec_rejects_non_integer_degree(self, deg):
+        # a fractional power of a negative (<x, y> + const) would fill the
+        # interval-cost table with NaN
+        with pytest.raises(ValueError, match="deg must be an integer"):
+            KernelSpec("polynomial", const=-5.0, deg=deg)
+        with pytest.raises(ValueError, match="deg must be an integer"):
+            fit("kernel_poly", np.random.default_rng(0).normal(size=(40, 2)), const=-5.0, deg=deg)
+
+    def test_spec_accepts_numpy_integer_degree(self):
+        assert KernelSpec("polynomial", deg=np.int64(3)).deg == 3
 
     def test_chi2_rejects_negative_data(self):
         with pytest.raises(ValueError, match="nonnegative"):

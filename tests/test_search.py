@@ -240,6 +240,81 @@ class TestPelt:
             want_v = sum_of_costs(cost, want) + beta * want.n_bkps
             assert abs(got_v - want_v) <= 1e-9 * (1 + abs(want_v))
 
+    @pytest.mark.parametrize("jump", [1, 2])
+    @pytest.mark.parametrize("min_size", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["l2", "poisson", "normal", "kernel_rbf"])
+    def test_matches_optimal_partitioning(self, kind, min_size, jump):
+        # T spans at least four blocks of ends, and candidates within
+        # min_size of a block's first end occur whenever min_size > 1
+        rng = np.random.default_rng([("l2", "poisson", "normal", "kernel_rbf").index(kind), min_size, jump])
+        T = int(rng.integers(200, 240))
+        bounds = np.sort(rng.choice(np.arange(20, T - 20), size=6, replace=False))
+        lengths = np.diff(np.concatenate(([0], bounds, [T])))
+        if kind == "poisson":
+            data = rng.poisson(np.repeat(rng.uniform(1.0, 8.0, 7), lengths)).astype(float)
+        elif kind == "normal":
+            data = rng.standard_normal(T) * np.repeat(rng.uniform(0.3, 3.0, 7), lengths)
+        else:
+            data = np.repeat(rng.normal(0, 2, (7, 2)), lengths, axis=0) + rng.standard_normal((T, 2))
+        cost = fit(kind, data, gamma=0.5 if kind == "kernel_rbf" else None)
+        beta = {"l2": 12.0, "poisson": 8.0, "normal": 12.0, "kernel_rbf": 3.0}[kind]
+        want = helpers.optimal_partitioning(cost, beta, min_size, jump)
+        opts = SearchOptions(min_size=min_size, jump=jump)
+        for prune in (True, False):
+            assert list(pelt_segment(cost, beta, opts, prune=prune).bkps) == want
+
+    @pytest.mark.parametrize("min_size, jump", [(1, 1), (2, 1), (3, 2)])
+    def test_ties_go_to_the_smallest_last_change(self, min_size, jump):
+        # small integers make equal objectives common
+        rng = np.random.default_rng([7, min_size, jump])
+        for beta in (0.5, 1.0):
+            cost = fit("l2", rng.integers(0, 3, 150).astype(float))
+            want = helpers.optimal_partitioning(cost, beta, min_size, jump)
+            opts = SearchOptions(min_size=min_size, jump=jump)
+            for prune in (True, False):
+                assert list(pelt_segment(cost, beta, opts, prune=prune).bkps) == want
+
+    def test_pruned_scan_kept_where_splitting_can_raise_the_cost(self):
+        # sqrt of the l2 cost breaks the pruning inequality, so pruning
+        # changes the result; no candidate may win an end at or after the
+        # end where the end-by-end scan drops it, even inside a block
+        from sigseg.costs import L2Cost
+        from sigseg.signals import as_signal
+
+        class SqrtL2(L2Cost):
+            def _values(self, starts, ends):
+                return 3.0 * np.sqrt(super()._values(starts, ends))
+
+        rng = np.random.default_rng(0)
+        data = np.repeat(rng.normal(0, 3, 10), 30) + rng.standard_normal(300)
+        cost = SqrtL2(as_signal(data))
+        opts = SearchOptions(min_size=3)
+        want = helpers.optimal_partitioning(cost, 2.0, 3, prune=True)
+        assert want != helpers.optimal_partitioning(cost, 2.0, 3)
+        assert list(pelt_segment(cost, 2.0, opts).bkps) == want
+
+    def test_one_cost_call_per_block_of_ends(self):
+        from sigseg.costs import L2Cost
+        from sigseg.signals import as_signal
+
+        class CountingL2(L2Cost):
+            def __init__(self, signal):
+                super().__init__(signal)
+                self.calls = 0
+
+            def eval_batch(self, starts, ends):
+                self.calls += 1
+                return super().eval_batch(starts, ends)
+
+        rng = np.random.default_rng(52)
+        T = 2000  # every index is an end: jump 1, min_size 1
+        data = np.repeat(rng.normal(0, 4, 20), T // 20) + rng.standard_normal(T)
+        cost = CountingL2(as_signal(data))
+        beta = 3.0 * math.log(T)
+        seg = pelt_segment(cost, beta)
+        assert cost.calls < T / 16
+        assert seg == pelt_segment(fit("l2", data), beta, prune=False)
+
     def test_respects_grid(self):
         rng = np.random.default_rng(41)
         data = rng.normal(size=90)
