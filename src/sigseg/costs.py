@@ -176,7 +176,9 @@ class SigmaCost(CostModel):
     MLE covariance + d).
 
     Near-singular covariances are ridge-regularized by 1e-6 * (tr/d) unless
-    regularization is disabled, in which case they raise.
+    regularization is disabled, in which case they raise.  On an interval
+    whose rows are all equal tr is 0 (or a rounding residue below it), and
+    the whole signal's tr/d, or 1 for a constant signal, takes its place.
     """
 
     kind = "normal"
@@ -190,6 +192,7 @@ class SigmaCost(CostModel):
         self._sm = _prefix(Y)
         self._so = _prefix(np.einsum("ti,tj->tij", Y, Y))
         self._regularize = bool(regularize)
+        self._flat_tr_norm = float(Y.var(axis=0).mean()) or 1.0
 
     def _one(self, a, b):
         n = float(b - a)
@@ -197,6 +200,8 @@ class SigmaCost(CostModel):
         cov = (self._so[b] - self._so[a]) / n - np.outer(mean, mean)
         d = self._signal.d
         tr_norm = float(np.trace(cov)) / d
+        if tr_norm <= 0:
+            tr_norm = self._flat_tr_norm
         if np.linalg.eigvalsh(cov).min() < self._SINGULAR_TOL * tr_norm:
             if not self._regularize:
                 raise ValueError(f"singular covariance on interval ({a}, {b}]")

@@ -10,6 +10,7 @@ data matrix, with the implicit t_0 = 0.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -229,22 +230,53 @@ def generate_pw_scale(spec: GeneratorSpec) -> tuple[Signal, Segmentation]:
 
 
 def load_csv(path) -> Signal:
-    """Read a signal from CSV: one time step per line, '.' decimal, UTF-8.
+    """Read a signal from CSV: one time step per row, one column per dimension.
 
-    A single non-numeric first row is treated as a header and skipped.
-    Raises on ragged rows, non-numeric cells outside the header, and empty
-    files.
+    The dialect: comma-separated, '.' decimal point, UTF-8 with an optional
+    byte-order mark.  Rows that are empty or hold only whitespace and commas
+    are skipped.  If the first remaining row does not parse as numbers it is
+    a header and is skipped; every later row must be numeric and as wide as
+    the first data row.  Raises ValueError on ragged rows, non-numeric
+    cells outside the header, non-finite values and files without data rows,
+    naming the physical line where there is one.
+
+    The rows after the header go to NumPy's C reader (`np.loadtxt`).  A file
+    it rejects (quoted cells, digit separators such as `1_000`, non-ASCII
+    digits, whitespace- or comma-only rows, any error) is parsed again by the
+    `csv` module and `float`, which accepts the same cells and words every
+    error.  Both give the same correctly rounded doubles.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"empty file: {path}")
-
-    start = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first = next((row for row in csv.reader(fh) if not _is_blank(row)), None)
+        if first is None:
+            raise ValueError(f"empty file: {path}")
+        start = 0 if _is_numeric(first) else 1
+        if not start:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file: "no data rows" is raised below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            values = None
+    if values is None:
+        values = _parse_rows(path, start)
+    elif not len(values):
+        raise ValueError(f"no data rows in {path}")
     try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1
+        return Signal(values)
+    except ValueError:  # the only check `values` can fail is the finiteness one
+        row = int(np.argwhere(~np.isfinite(values))[0, 0])
+        raise ValueError(f"signal contains NaN or Inf entries on line "
+                         f"{_line_of_row(path, start + row)}") from None
+
+
+def _parse_rows(path, start: int) -> np.ndarray:
+    """load_csv's exact parser: the non-blank rows from `start` on, by
+    `csv.reader` and `float`, with line-numbered errors."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if not _is_blank(row)]
     if start == len(rows):
         raise ValueError(f"no data rows in {path}")
 
@@ -258,16 +290,28 @@ def load_csv(path) -> Signal:
             values.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ValueError(f"non-numeric cell on line {_line_of_row(path, i)}: {exc}") from None
-    return Signal(np.array(values))
+    return np.array(values)
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _is_numeric(row: list[str]) -> bool:
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return False
+    return True
 
 
 def _line_of_row(path, index: int) -> int:
     """1-based physical line of the index-th non-blank row, for load_csv's
     errors; the file is read again so that parsing keeps no line numbers."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if row and any(cell.strip() for cell in row):
+            if not _is_blank(row):
                 if index == 0:
                     return reader.line_num
                 index -= 1

@@ -8,6 +8,7 @@ from sigseg import (
     StoppingRule,
     binseg_segment,
     botup_segment,
+    detect,
     fit,
     load_csv,
     make_segmentation,
@@ -200,6 +201,31 @@ class TestDetect:
                            "--n-bkps", "1")
         assert code == 0
         assert json.loads(out)["breakpoints"] == [50, 100]
+
+    @pytest.mark.parametrize("cost", ["linear", "mahalanobis"])
+    def test_extra_files_with_header_and_blank_lines(self, tmp_path, capsys, cost):
+        rng = np.random.default_rng(4)
+        if cost == "linear":
+            extra = np.column_stack([np.ones(80), np.linspace(0, 1, 80)])
+            data = extra @ [1.0, 2.0] + np.repeat([0.0, 3.0], 40) + 0.1 * rng.standard_normal(80)
+            flag, kwargs = "--covariates", {"covariates": extra}
+        else:
+            extra = np.array([[2.0, 0.5], [0.5, 1.0]])
+            data = np.repeat([[0.0, 0.0], [2.0, -1.0]], 40, axis=0) + rng.standard_normal((80, 2))
+            flag, kwargs = "--metric-matrix", {"metric": extra}
+        csv = str(tmp_path / "signal.csv")
+        np.savetxt(csv, data, fmt="%.17g", delimiter=",")
+        lines = [",".join("%.17g" % v for v in row) for row in extra]
+        extra_file = tmp_path / "extra.csv"
+        extra_file.write_text("a,b\n\n" + "\n\n".join(lines) + "\n\n")
+        code, out, err = run(capsys, "detect", "--input", csv, "--method", "opt", "--cost", cost,
+                             flag, str(extra_file), "--n-bkps", "1")
+        assert code == 0, err
+        report = json.loads(out)
+
+        want, _ = detect(fit(cost, load_csv(csv), **kwargs), "opt", 1)
+        assert report["breakpoints"] == want.breakpoints == [40, 80]
+        assert report["sum_of_costs"] == want.sum_of_costs
 
 
 def direct_search(cost, method, n_bkps, pen):

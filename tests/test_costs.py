@@ -11,6 +11,7 @@ from sigseg import (
     Signal,
     fit,
     make_segmentation,
+    opt_segment,
     sum_of_costs,
 )
 from sigseg.costs import irls_lad
@@ -87,6 +88,21 @@ class TestSigma:
         assert np.isfinite(fit("normal", data).eval(0, 8))
         with pytest.raises(ValueError, match="singular"):
             fit("normal", data, regularize=False).eval(0, 8)
+
+    def test_regularized_path_rescues_all_equal_rows(self):
+        # equal rows make the interval's trace 0, so the ridge scale falls
+        # back to the whole signal's tr/d
+        data = np.array([[0, 0], [0, 0], [0, 0], [1, 2], [3, 1], [0, 5], [2, 2]], dtype=float)
+        c = fit("normal", data)
+        ridge = 1e-6 * data.var(axis=0).mean()
+        assert c.eval(0, 3) == pytest.approx(3 * (2 * math.log(ridge) + 2), rel=1e-12)
+        assert opt_segment(c, 1).bkps == (3, 7)
+        with pytest.raises(ValueError, match=r"singular covariance on interval \(0, 3\]"):
+            fit("normal", data, regularize=False).eval(0, 3)
+
+    def test_constant_signal_ridge_scale_is_one(self):
+        c = fit("normal", np.full((5, 2), 3.0))
+        assert c.eval(0, 5) == pytest.approx(5 * (2 * math.log(1e-6) + 2), rel=1e-12)
 
 
 class TestPoisson:

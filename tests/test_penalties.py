@@ -169,9 +169,11 @@ class TestDetectWithPenalty:
 
     def test_sweep_propagates_cost_errors(self):
         # the first 20 samples are constant, so K=1 meets a singular
-        # covariance; that is an error, not the end of the feasible range
+        # covariance, which raises without the ridge; that is an error, not
+        # the end of the feasible range
         rng = np.random.default_rng(5)
-        cost = fit("normal", np.concatenate([np.zeros(20), 5 + rng.standard_normal(60)]))
+        cost = fit("normal", np.concatenate([np.zeros(20), 5 + rng.standard_normal(60)]),
+                   regularize=False)
         with pytest.raises(ValueError, match="singular covariance"):
             opt_segment(cost, 1)
         with pytest.raises(ValueError, match="singular covariance"):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,105 @@ class TestPwScale:
             generate_pw_scale(GeneratorSpec(T=20, jump_range=(0.0, 2.0)))
 
 
+def reference_load_csv(path) -> Signal:
+    """load_csv as it was before the NumPy fast path, verbatim apart from
+    the byte-order mark fix (utf-8-sig)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise ValueError(f"empty file: {path}")
+
+    start = 0
+    try:
+        [float(cell) for cell in rows[0]]
+    except ValueError:
+        start = 1
+    if start == len(rows):
+        raise ValueError(f"no data rows in {path}")
+
+    width = len(rows[start])
+    values = []
+    for i, row in enumerate(rows[start:], start=start):
+        if len(row) != width:
+            raise ValueError(f"ragged input: line {_reference_line_of_row(path, i)} has {len(row)} cells, "
+                             f"expected {width}")
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"non-numeric cell on line {_reference_line_of_row(path, i)}: {exc}") from None
+    return Signal(np.array(values))
+
+
+def _reference_line_of_row(path, index: int) -> int:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                if index == 0:
+                    return reader.line_num
+                index -= 1
+    raise ValueError(f"{path} changed while being read")
+
+
+def first_non_finite_line(path) -> int:
+    """Physical line of the first row holding a non-finite cell, for a file
+    the reference parser read up to Signal's check."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                try:
+                    if not np.isfinite([float(cell) for cell in row]).all():
+                        return reader.line_num
+                except ValueError:  # the header
+                    pass
+    raise AssertionError("no non-finite row")
+
+
+def outcome(parse, path):
+    """The parsed array's dtype, shape and bytes, or the error's type and message."""
+    try:
+        data = parse(path).data
+    except Exception as exc:
+        return type(exc), str(exc)
+    return data.dtype, data.shape, data.tobytes()
+
+
+_ODD_CELLS = ["1_000", "inf", "-inf", "nan", "1e400", '"2.5"', " 3 ", "", "#2", "oops",
+              "\u0661\u0662", "0x10", "1,5", "+.5", "\x0c7", "4 #x"]
+
+
+@st.composite
+def csv_cells(draw):
+    if draw(st.integers(0, 39)) == 0:
+        return draw(st.sampled_from(_ODD_CELLS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(st.one_of(finite.map(lambda x: "%.17g" % x), finite.map(repr),
+                          st.floats(-1e3, 1e3).map(lambda x: "%.3g" % x),
+                          st.integers(-10**6, 10**6).map(str)))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files that are mostly well formed, so both of load_csv's paths run:
+    an optional header, blank and whitespace- or comma-only lines, CRLF or CR
+    line ends, a rare ragged row, trailing comma, odd cell or byte-order mark."""
+    d = draw(st.integers(1, 3))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["x,y", "t", '"a\nb",c', "1,#2", '"1","2"'])))
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ",", ",,", "\x0c", " , "])))
+            continue
+        width = draw(st.integers(1, 4)) if draw(st.integers(0, 19)) == 0 else d
+        line = ",".join(draw(csv_cells()) for _ in range(width))
+        lines.append(line + "," if draw(st.integers(0, 29)) == 0 else line)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.integers(0, 9)) == 0 else "") + text
+
+
 class TestLoadCsv:
     def test_plain_numeric(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -192,6 +293,70 @@ class TestLoadCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_csv(path)
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6\n")
+        np.testing.assert_array_equal(load_csv(path).data, [[1.5, 2], [3, 4], [5, 6]])
+
+    def test_file_name_suffix_does_not_select_a_decompressor(self, tmp_path):
+        path = tmp_path / "plain.csv.gz"
+        path.write_text("1,2\n3,4\n")
+        np.testing.assert_array_equal(load_csv(path).data, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n3,inf\n", 2),
+        ("t\n\n1\n\n-nan\n", 5),
+        ('"a\nb"\n1\n1e400\n', 4),
+        ('"1",2\n, \n3,-Infinity\n', 3),
+    ])
+    def test_non_finite_cell_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "inf.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=f"NaN or Inf entries on line {line}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x,y\n", "no data rows in "),
+        ("x,y\n\n \n,\n", "no data rows in "),
+        ("", "empty file: "),
+        ("\n  \n,,\n\x0c\n", "empty file: "),
+        ("1,2\n3\x00,4\n", None),
+        ("1,2\n1,#2\n", "non-numeric cell on line 2: "),
+        ("1,2\n3,4 # note\n", "non-numeric cell on line 2: "),
+        ("1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ("1,2\r3,4\r\r5,6", [[1, 2], [3, 4], [5, 6]]),
+        ("1,2\n   \n ,\n,\n\x0c\n3,4\n", [[1, 2], [3, 4]]),
+        ("1_000,2\n3,4\n", [[1000, 2], [3, 4]]),
+        ('"1",2\n3,"4.5"\n', [[1, 2], [3, 4.5]]),
+        ('"a\nb",c\n1,2\n3,4\n', [[1, 2], [3, 4]]),
+        ("1,2,\n3,4,\n", "non-numeric cell on line 2: "),
+        ("x\n1\n2\n\n3\n", [[1], [2], [3]]),
+        (" 1.5 ,\t-2e-3\n", [[1.5, -2e-3]]),
+    ])
+    def test_dialect_edge_cases(self, tmp_path, text, expected):
+        """Pinned outcomes, and each equal to the reference parser's (None:
+        the outcome differs across Python versions, so only the parity is
+        checked)."""
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                load_csv(path)
+        elif expected is not None:
+            got = load_csv(path).data
+            np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_reference_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "x.csv"
+        path.write_bytes(text.encode())
+        got, want = outcome(load_csv, path), outcome(reference_load_csv, path)
+        if want == (ValueError, "signal contains NaN or Inf entries"):
+            want = (ValueError, f"{want[1]} on line {first_non_finite_line(path)}")
+        assert got == want
 
 
 def test_segmentation_requires_terminal():
