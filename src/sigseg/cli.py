@@ -8,6 +8,7 @@ runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import statistics
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:  # argparse usage errors (and --help)
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

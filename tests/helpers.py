@@ -120,6 +120,54 @@ def naive_kernel(data, spec, a, b):
     return diag - cross / n
 
 
+def _rowwise_distance(kind, A, B):
+    diff = A - B
+    if kind == "chi2":
+        den = A + B
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, diff * diff / den, 0.0).sum(axis=-1)
+    return np.sum(diff * diff, axis=-1)
+
+
+def rowwise_median_gamma(data, kind):
+    """The median-heuristic bandwidth over whole-row distance sums."""
+    T = len(data)
+    idx = np.unique(np.linspace(0, T - 1, min(T, 256)).astype(int))
+    Y = data[idx]
+    dist = _rowwise_distance(kind, Y[:, None, :], Y[None, :, :])
+    med = float(np.median(dist[np.triu_indices(len(idx), k=1)])) if len(idx) > 1 else 0.0
+    return 1.0 / med if med > 0 else 1.0
+
+
+def rowwise_kernel_table(data, spec):
+    """The (T+1) x (T+1) kernel interval-cost table, one Gram row at a time.
+
+    Each Gram row is a matrix-vector product or a whole-row distance sum,
+    and extends the running diagonal and block sums from the last row up.
+    """
+    Y = data
+    T = len(Y)
+
+    def krow(t):
+        if spec.kind == "linear":
+            return Y @ Y[t]
+        if spec.kind == "polynomial":
+            return (Y @ Y[t] + spec.const) ** spec.deg
+        return np.exp(-spec.gamma * _rowwise_distance(spec.kind, Y, Y[t]))
+
+    table = np.zeros((T + 1, T + 1))
+    sums = np.zeros((2, T + 1))
+    diag, block = sums
+    lengths = np.arange(1, T + 1, dtype=float)
+    for a in range(T - 1, -1, -1):
+        row = krow(a)
+        row[a + 1:] *= 2.0
+        block[a + 2:] += np.cumsum(row[a + 1:])
+        sums[:, a + 1:] += row[a]
+        table[a, a + 1:] = diag[a + 1:] - block[a + 1:] / lengths[:T - a]
+    return table
+
+
 def exhaustive_best(cost, n_bkps, min_size, jump=1):
     """Minimum sum of costs over every admissible breakpoint combination.
 

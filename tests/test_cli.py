@@ -75,6 +75,16 @@ class TestDetect:
         assert code == 1
         assert "error" in err
 
+    def test_oversized_cell_is_data_error(self, tmp_path, capsys):
+        # the csv module refuses a field longer than its 131,072-character limit
+        path = tmp_path / "wide.csv"
+        path.write_text("1.0\n" + "x" * 200_000 + "\n2.0\n")
+        code, out, err = run(capsys, "detect", "--input", str(path), "--method", "opt",
+                             "--cost", "l2", "--n-bkps", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "field larger than field limit" in err
+
     def test_flag_errors_precede_reading_the_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "detect", "--input", str(tmp_path / "nope.csv"),
                            "--method", "pelt", "--cost", "l2", "--n-bkps", "1")

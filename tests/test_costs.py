@@ -326,6 +326,15 @@ class TestEcdf:
         assert rel_close(c.eval(0, 2), helpers.naive_ecdf(y, 0, 2))
 
 
+def kernel_data(rng, kernel, T, d):
+    """Gaussian data; nonnegative with about a fifth exact zeros for chi2."""
+    data = rng.normal(size=(T, d))
+    if kernel == "chi2":
+        data = np.abs(data)
+        data[rng.random(size=data.shape) < 0.2] = 0.0
+    return data
+
+
 class TestKernel:
     def test_rbf_identical_samples_zero(self):
         c = fit("kernel_rbf", np.full(6, 1.5), gamma=0.7)
@@ -410,6 +419,53 @@ class TestKernel:
         for t in range(T - 400, T):
             assert c.eval(t, t + 1) == 0.0, t
 
+    @pytest.mark.parametrize("kernel", ["rbf", "chi2"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_table_and_gamma_equal_row_by_row_build(self, kernel, d):
+        # Blocks of Gram rows with distances summed coordinate by coordinate
+        # do, for d <= 7, the very floating-point operations of one row at a
+        # time, including around the 64-row block edges.
+        rng = np.random.default_rng(40 + d)
+        for T in (1, 2, 63, 64, 65, 129, 300):
+            data = kernel_data(rng, kernel, T, d)
+            c = fit(f"kernel_{kernel}", data)
+            assert c.spec.gamma == helpers.rowwise_median_gamma(data, kernel), T
+            starts, ends = np.triu_indices(T + 1, k=1)
+            want = helpers.rowwise_kernel_table(data, c.spec)[starts, ends]
+            assert np.array_equal(c.eval_batch(starts, ends), want), T
+
+    @pytest.mark.parametrize("kind, d", [("kernel_rbf", 8), ("kernel_rbf", 12),
+                                         ("kernel_chi2", 8), ("kernel_chi2", 12),
+                                         ("kernel_linear", 2), ("kernel_linear", 8),
+                                         ("kernel_poly", 2), ("kernel_poly", 8)])
+    def test_table_close_to_row_by_row_build(self, kind, d):
+        # NumPy's unrolled sum over 8 or more coordinates, and a matrix
+        # product against matrix-vector ones, round in other places.
+        rng = np.random.default_rng(50 + d)
+        for T in (65, 300):
+            data = kernel_data(rng, kind[len("kernel_"):], T, d)
+            c = fit(kind, data)
+            if c.spec.gamma is not None:
+                want_gamma = helpers.rowwise_median_gamma(data, c.spec.kind)
+                assert c.spec.gamma == pytest.approx(want_gamma, rel=1e-12, abs=0), T
+            starts, ends = np.triu_indices(T + 1, k=1)
+            want = helpers.rowwise_kernel_table(data, c.spec)[starts, ends]
+            np.testing.assert_allclose(c.eval_batch(starts, ends), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["kernel_linear", "kernel_rbf", "kernel_poly", "kernel_chi2"])
+    def test_fit_depends_on_its_signal_alone(self, kind):
+        # No cache, scratch buffer or table is shared between fits.
+        rng = np.random.default_rng(33)
+        signal_a, signal_b = (kernel_data(rng, kind[len("kernel_"):], 150, 3) for _ in range(2))
+        starts, ends = np.triu_indices(151, k=1)
+        first = fit(kind, signal_a)
+        want = first.eval_batch(starts, ends).copy()
+        fit(kind, signal_b)
+        again = fit(kind, signal_a)
+        assert np.array_equal(again.eval_batch(starts, ends), want)
+        assert np.array_equal(first.eval_batch(starts, ends), want)
+
     def test_median_heuristic_gamma_resolved(self):
         rng = np.random.default_rng(24)
         c = fit("kernel_rbf", rng.normal(size=(20, 1)))
@@ -465,11 +521,12 @@ class TestFitFactory:
         assert c.eval(4, 21) == c.eval(4, 21)
 
 
+METRIC_3D = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
 ORACLES = {
     "l2": lambda data, a, b: helpers.naive_l2(data, a, b),
     "normal": lambda data, a, b: helpers.naive_sigma(data, a, b),
     "poisson": lambda data, a, b: helpers.naive_poisson(data, a, b),
-    "mahalanobis": None,  # covered in TestMahalanobis
+    "mahalanobis": lambda data, a, b: helpers.naive_mahalanobis(data, METRIC_3D, a, b),
     "rank": lambda data, a, b: helpers.naive_rank(data, a, b),
 }
 
@@ -487,3 +544,19 @@ def test_prefix_paths_match_direct_summation(kind):
             a = int(rng.integers(0, T - c.min_size))
             b = int(rng.integers(a + c.min_size, T + 1))
             assert rel_close(c.eval(a, b), ORACLES[kind](data, a, b))
+
+
+@pytest.mark.parametrize("kind, d", [("l2", 1), ("l2", 3), ("mahalanobis", 3), ("normal", 2)])
+def test_shift_invariant_costs_large_t_parity(kind, d):
+    # An offset of 50 plus a slow drift at T = 5000: short intervals at the
+    # end are differences of prefix sums that are large next to them unless
+    # the fit centres the signal.
+    rng = np.random.default_rng(32)
+    T = 5000
+    data = 50.0 + 2.0 * np.arange(T)[:, None] / T + rng.normal(size=(T, d))
+    c = fit(kind, data, metric=METRIC_3D) if kind == "mahalanobis" else fit(kind, data)
+    for n in (1, 2, 3, 5, 8, 13, 21, 40):
+        if n < c.min_size:
+            continue
+        for b in range(T - 60, T + 1, 7):
+            assert rel_close(c.eval(b - n, b), ORACLES[kind](data, b - n, b)), (b - n, b)
