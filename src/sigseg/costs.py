@@ -177,8 +177,10 @@ class SigmaCost(CostModel):
 
     Near-singular covariances are ridge-regularized by 1e-6 * (tr/d) unless
     regularization is disabled, in which case they raise.  On an interval
-    whose rows are all equal tr is 0 (or a rounding residue below it), and
-    the whole signal's tr/d, or 1 for a constant signal, takes its place.
+    whose rows are all equal the covariance is exactly 0, not the rounding
+    residue its prefix sums leave, and the whole signal's tr/d, or 1 for a
+    constant signal, takes the place of tr/d.  The same scale stands in
+    when the rounded tr of nearly equal rows is <= 0.
     """
 
     kind = "normal"
@@ -193,12 +195,20 @@ class SigmaCost(CostModel):
         self._so = _prefix(np.einsum("ti,tj->tij", Y, Y))
         self._regularize = bool(regularize)
         self._flat_tr_norm = float(signal.data.var(axis=0).mean()) or 1.0
+        # _run_start[t] is the first row of the run of rows equal to row t.
+        T = signal.T
+        new_run = np.ones(T, dtype=bool)
+        new_run[1:] = (signal.data[1:] != signal.data[:-1]).any(axis=1)
+        self._run_start = np.maximum.accumulate(np.where(new_run, np.arange(T), 0))
 
     def _one(self, a, b):
         n = float(b - a)
-        mean = (self._sm[b] - self._sm[a]) / n
-        cov = (self._so[b] - self._so[a]) / n - np.outer(mean, mean)
         d = self._signal.d
+        if self._run_start[b - 1] <= a:
+            cov = np.zeros((d, d))
+        else:
+            mean = (self._sm[b] - self._sm[a]) / n
+            cov = (self._so[b] - self._so[a]) / n - np.outer(mean, mean)
         tr_norm = float(np.trace(cov)) / d
         if tr_norm <= 0:
             tr_norm = self._flat_tr_norm
@@ -500,10 +510,23 @@ def _distance(kind: str, A, B) -> np.ndarray:
 
 
 def _centred(Y: np.ndarray) -> np.ndarray:
-    """Y minus its column means.  The shift-invariant costs take their
-    prefix sums from it, which keeps the sums small next to the short
-    intervals near the end of a long, offset signal."""
-    return Y - Y.mean(axis=0)
+    """Y minus a shift near its column means.  The shift-invariant costs
+    take their prefix sums from it, which keeps the sums small next to the
+    short intervals near the end of a long, offset signal.
+
+    The shift is taken from at most 2047 evenly spaced rows: each column's
+    sample mean, rounded to a multiple of the largest power of two not
+    above its sample standard deviation (a column constant on the sample
+    is shifted by its first value).  Integer-valued data thus stays
+    integer-valued, or on a fine power-of-two grid when its deviation is
+    below 1, so its prefix sums stay exact, as they are without the shift.
+    """
+    sample = Y[::max(1, len(Y) // 1024)]
+    spread = sample.max(axis=0) > sample.min(axis=0)
+    std = np.where(spread, sample.std(axis=0), 1.0)
+    step = np.exp2(np.floor(np.log2(std)))
+    shift = np.where(spread, np.round(sample.mean(axis=0) / step) * step, Y[0])
+    return Y - shift
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:

@@ -43,6 +43,27 @@ class TestL2:
             assert whole >= 0.0
             assert whole >= left + right - 1e-9 * (1 + abs(whole))
 
+    @pytest.mark.parametrize("values", ["offset", "sparse", "constant column"])
+    def test_integer_signal_keeps_exact_sums(self, values):
+        # Centring integer-valued data by a shift on a power-of-two grid keeps
+        # every prefix sum exact, so a run of equal rows costs exactly 0, as
+        # without the shift.  A constant column is shifted to exactly 0.
+        rng = np.random.default_rng(34)
+        T = 5000
+        if values == "offset":
+            data = 1000.0 + rng.integers(-3, 4, size=(T, 2))
+        elif values == "sparse":
+            data = (rng.random(size=(T, 2)) < 0.01).astype(float)
+        else:
+            data = np.column_stack([np.full(T, 123456.789), 1000.0 + rng.integers(-3, 4, size=T)])
+        data[T - 30:T - 10] = data[T - 30]
+        c = fit("l2", data)
+        for a in range(T - 30, T - 10):
+            for b in range(a + 1, T - 9):
+                assert c.eval(a, b) == 0.0, (a, b)
+        for a, b in [(0, T), (T - 40, T - 20), (T - 25, T), (17, 4000)]:
+            assert rel_close(c.eval(a, b), helpers.naive_l2(data, a, b), tol=1e-12), (a, b)
+
     def test_out_of_range(self):
         c = fit("l2", np.arange(5.0))
         with pytest.raises(ValueError, match="out of range"):
@@ -99,6 +120,39 @@ class TestSigma:
         assert opt_segment(c, 1).bkps == (3, 7)
         with pytest.raises(ValueError, match=r"singular covariance on interval \(0, 3\]"):
             fit("normal", data, regularize=False).eval(0, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equal_rows_of_integer_signal_keep_the_flat_ridge(self, d):
+        # On integer-valued data every interval of equal rows costs the flat
+        # ridge's log-det, as it does when the uncentred sums are exact; a
+        # rounding residue there would raise (d = 2) or cost n log(~1e-16).
+        rng = np.random.default_rng(33 + d)
+        T = 3000
+        data = rng.integers(40, 60, size=(T, d)).astype(float)
+        data[T - 50:T - 10] = data[T - 50]
+        c = fit("normal", data)
+        unregularized = fit("normal", data, regularize=False)
+        flat = d * math.log(1e-6 * data.var(axis=0).mean()) + d
+        for a in range(T - 50, T - 10):
+            for b in range(a + d + 1, T - 9):
+                assert c.eval(a, b) == pytest.approx((b - a) * flat, rel=1e-12), (a, b)
+                with pytest.raises(ValueError, match="singular"):
+                    unregularized.eval(a, b)
+        for a, b in [(T - 60, T - 45), (T - 53, T - 5), (T - 20, T), (T - 100, T)]:
+            assert rel_close(c.eval(a, b), helpers.naive_sigma(data, a, b)), (a, b)
+
+    def test_equal_rows_of_rounded_data_keep_the_flat_ridge(self):
+        # 94.1 and 197.1 are not short binary fractions, so the prefix sums
+        # leave a residue on these equal rows that the cost must not use.
+        data = np.array([[47.6, 108.3], [64.2, 160.6]] + [[94.1, 197.1]] * 6 + [[50.3, 164.6]])
+        c = fit("normal", data)
+        unregularized = fit("normal", data, regularize=False)
+        flat = 2 * math.log(1e-6 * data.var(axis=0).mean()) + 2
+        for a in range(2, 5):
+            for b in range(a + 3, 9):
+                assert c.eval(a, b) == pytest.approx((b - a) * flat, rel=1e-12), (a, b)
+                with pytest.raises(ValueError, match="singular"):
+                    unregularized.eval(a, b)
 
     def test_constant_signal_ridge_scale_is_one(self):
         c = fit("normal", np.full((5, 2), 3.0))
