@@ -106,20 +106,44 @@ class CostModel:
 
     def eval_batch(self, starts, ends) -> np.ndarray:
         """Vectorized eval over parallel arrays of interval bounds."""
-        starts, ends = np.broadcast_arrays(np.asarray(starts, dtype=np.int64),
-                                           np.asarray(ends, dtype=np.int64))
-        if starts.ndim != 1:
-            starts, ends = starts.ravel(), ends.ravel()
-        T = self._signal.T
-        if starts.size and (starts.min() < 0 or ends.max() > T):
-            raise ValueError(f"interval out of range for T={T}")
+        starts, ends = (x.ravel() for x in np.broadcast_arrays(*self._in_range(starts, ends)))
         if starts.size and (ends - starts).min() < self.min_size:
             raise ValueError(f"segment shorter than min_size={self.min_size} for cost {self.kind!r}")
-        return self._values(starts, ends)
+        return self._no_nan(self._values(starts, ends), starts, ends)
+
+    def eval_grid(self, starts, ends) -> np.ndarray:
+        """The (len(starts), len(ends)) matrix of c(s, e) over 1-D bounds, inf
+        where e - s < min_size: one _values call on starts[:, None] and
+        ends[None, :], whose values below min_size are never read."""
+        starts, ends = self._in_range(starts, ends)
+        starts, ends = starts[:, None], ends[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = self._values(starts, ends)
+        return self._no_nan(np.where(ends - starts >= self.min_size, vals, np.inf), starts, ends)
+
+    def _in_range(self, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+        starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+        T = self._signal.T
+        if starts.size and ends.size and (starts.min() < 0 or ends.max() > T):
+            raise ValueError(f"interval out of range for T={T}")
+        return starts, ends
+
+    def _no_nan(self, vals: np.ndarray, starts, ends) -> np.ndarray:
+        nan = np.isnan(vals)
+        if nan.any():
+            i = int(nan.argmax())  # the first NaN in C order
+            a, b = (int(np.broadcast_to(x, vals.shape).flat[i]) for x in (starts, ends))
+            raise ValueError(f"cost {self.kind!r} is NaN on interval ({a}, {b}]")
+        return vals
 
     def _values(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        # Vectorized costs override this; the rest loop over _one.
-        return np.array([self._one(int(a), int(b)) for a, b in zip(starts, ends)], dtype=float)
+        # c(s, e) over broadcastable bounds.  Vectorized costs override this;
+        # the rest call _one where e - s >= min_size and give inf elsewhere.
+        starts, ends = np.broadcast_arrays(starts, ends)
+        ok = ends - starts >= self.min_size
+        out = np.full(ok.shape, np.inf)
+        out[ok] = [self._one(int(a), int(b)) for a, b in zip(starts[ok], ends[ok])]
+        return out
 
     def _one(self, a: int, b: int) -> float:
         raise NotImplementedError
@@ -133,14 +157,13 @@ class L2Cost(CostModel):
     def __init__(self, signal: Signal):
         super().__init__(signal, min_size=1)
         Y = _centred(signal.data)
-        self._sq = _prefix(np.sum(Y * Y, axis=1))
-        self._sm = _prefix(Y)
+        self._sq = _Sums(np.sum(Y * Y, axis=1))
+        self._sm = _Sums(Y)
 
     def _values(self, starts, ends):
         n = (ends - starts).astype(float)
-        q = self._sq[ends] - self._sq[starts]
-        s = self._sm[ends] - self._sm[starts]
-        return np.maximum(0.0, q - np.einsum("ij,ij->i", s, s) / n)
+        s = self._sm(starts, ends)
+        return np.maximum(0.0, self._sq(starts, ends) - np.einsum("...j,...j->...", s, s) / n)
 
 
 class MahalanobisCost(CostModel):
@@ -161,14 +184,14 @@ class MahalanobisCost(CostModel):
             raise ValueError("metric matrix is not positive semi-definite")
         self._M = M
         Y = _centred(signal.data)
-        self._sq = _prefix(np.sum((Y @ M) * Y, axis=1))
-        self._sm = _prefix(Y)
+        self._sq = _Sums(np.sum((Y @ M) * Y, axis=1))
+        self._sm = _Sums(Y)
 
     def _values(self, starts, ends):
         n = (ends - starts).astype(float)
-        q = self._sq[ends] - self._sq[starts]
-        s = self._sm[ends] - self._sm[starts]
-        return np.maximum(0.0, q - np.einsum("ij,ij->i", s @ self._M, s) / n)
+        s = self._sm(starts, ends)
+        quad = np.einsum("...j,...j->...", s @ self._M, s)
+        return np.maximum(0.0, self._sq(starts, ends) - quad / n)
 
 
 class SigmaCost(CostModel):
@@ -191,8 +214,8 @@ class SigmaCost(CostModel):
     def __init__(self, signal: Signal, regularize: bool = True):
         super().__init__(signal, min_size=signal.d + 1)
         Y = _centred(signal.data)
-        self._sm = _prefix(Y)
-        self._so = _prefix(np.einsum("ti,tj->tij", Y, Y))
+        self._sm = _Sums(Y)
+        self._so = _Sums(np.einsum("ti,tj->tij", Y, Y))
         self._regularize = bool(regularize)
         self._flat_tr_norm = float(signal.data.var(axis=0).mean()) or 1.0
         # _run_start[t] is the first row of the run of rows equal to row t.
@@ -207,8 +230,8 @@ class SigmaCost(CostModel):
         if self._run_start[b - 1] <= a:
             cov = np.zeros((d, d))
         else:
-            mean = (self._sm[b] - self._sm[a]) / n
-            cov = (self._so[b] - self._so[a]) / n - np.outer(mean, mean)
+            mean = self._sm(a, b) / n
+            cov = self._so(a, b) / n - np.outer(mean, mean)
         tr_norm = float(np.trace(cov)) / d
         if tr_norm <= 0:
             tr_norm = self._flat_tr_norm
@@ -234,14 +257,14 @@ class PoissonCost(CostModel):
         super().__init__(signal, min_size=1)
         if (signal.data < 0).any():
             raise ValueError("poisson cost requires nonnegative data")
-        self._sm = _prefix(signal.data)
+        self._sm = _Sums(signal.data)
 
     def _values(self, starts, ends):
         n = (ends - starts).astype(float)
-        means = (self._sm[ends] - self._sm[starts]) / n[:, None]
+        means = self._sm(starts, ends) / n[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(means > 0, means * np.log(means), 0.0)
-        return -n * terms.sum(axis=1)
+        return -n * terms.sum(axis=-1)
 
 
 class LinearCost(CostModel):
@@ -366,15 +389,15 @@ class RankCost(CostModel):
             col = Y[:, j]
             ranks[:, j] = np.searchsorted(np.sort(col), col, side="right")
         r = ranks - (T + 1) / 2.0
-        self._pr = _prefix(r)
+        self._pr = _Sums(r)
         shifted = r + 0.5
         cov = (shifted.T @ shifted) / T
         self._inv = np.linalg.pinv(cov, hermitian=True)
 
     def _values(self, starts, ends):
         n = (ends - starts).astype(float)
-        rbar = (self._pr[ends] - self._pr[starts]) / n[:, None]
-        quad = np.einsum("ij,jk,ik->i", rbar, self._inv, rbar)
+        rbar = self._pr(starts, ends) / n[..., None]
+        quad = np.einsum("...j,jk,...k->...", rbar, self._inv, rbar)
         return -n * quad
 
 
@@ -517,24 +540,38 @@ def _centred(Y: np.ndarray) -> np.ndarray:
     The shift is taken from at most 2047 evenly spaced rows: each column's
     sample mean, rounded to a multiple of the largest power of two not
     above its sample standard deviation (a column constant on the sample
-    is shifted by its first value).  Integer-valued data thus stays
+    is shifted by its first value; one whose deviation underflows to 0
+    gets the step 1/2).  Integer-valued data thus stays
     integer-valued, or on a fine power-of-two grid when its deviation is
     below 1, so its prefix sums stay exact, as they are without the shift.
+
+    Raises ValueError when the largest centred magnitude m is neither 0
+    nor in [2**-500, 2**500]: outside it m**2 is not a normal float, or
+    T * m**2 may overflow, and the costs would be 0, inf or NaN.
     """
     sample = Y[::max(1, len(Y) // 1024)]
     spread = sample.max(axis=0) > sample.min(axis=0)
-    std = np.where(spread, sample.std(axis=0), 1.0)
-    step = np.exp2(np.floor(np.log2(std)))
-    shift = np.where(spread, np.round(sample.mean(axis=0) / step) * step, Y[0])
-    return Y - shift
-
-
-def _prefix(values: np.ndarray) -> np.ndarray:
-    """Cumulative sums with a leading zero row, so prefix[b] - prefix[a]
-    aggregates rows a .. b-1."""
-    out = np.zeros((len(values) + 1,) + values.shape[1:])
-    np.cumsum(values, axis=0, out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the range check
+        step = np.ldexp(1.0, np.frexp(sample.std(axis=0))[1] - 1)
+        shift = np.where(spread, np.round(sample.mean(axis=0) / step) * step, Y[0])
+        out = Y - shift
+        m = float(np.abs(out).max())
+    if m != 0 and not 2.0**-500 <= m <= 2.0**500:
+        raise ValueError(f"signal scale out of range: centred values reach {m:.3g}, "
+                         "outside [2**-500, 2**500]; rescale the signal")
     return out
+
+
+class _Sums:
+    """sums(a, b) adds rows a .. b-1, for integer or broadcastable bounds;
+    the result has their broadcast shape followed by the shape of a row."""
+
+    def __init__(self, rows: np.ndarray):
+        self._prefix = np.zeros((len(rows) + 1,) + rows.shape[1:])
+        np.cumsum(rows, axis=0, out=self._prefix[1:])
+
+    def __call__(self, starts, ends):
+        return self._prefix[ends] - self._prefix[starts]
 
 
 def fit(kind: str, signal, *, covariates=None, order=None, metric=None,

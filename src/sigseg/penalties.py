@@ -174,12 +174,16 @@ def _report(cost: CostModel, method: str, seg: Segmentation, pen: Penalty | None
     """Report of a search that started at perf_counter() == start and found seg."""
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     total = sum_of_costs(cost, seg)
+    objective = None if pen is None else total + pen_value(pen, seg)
+    if not all(math.isfinite(v) for v in (total, objective) if v is not None):
+        raise ValueError(f"non-finite objective for {method} with cost {cost.kind!r}: "
+                         f"sum_of_costs={total}, penalized_objective={objective}")
     return DetectionReport(
         method=method,
         cost=cost.kind,
         breakpoints=list(seg.bkps),
         sum_of_costs=total,
-        penalized_objective=None if pen is None else total + pen_value(pen, seg),
+        penalized_objective=objective,
         elapsed_ms=elapsed_ms,
         config_echo=config_echo,
     )

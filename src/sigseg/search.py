@@ -76,11 +76,13 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
     """Exact minimizer of the sum of costs over segmentations with exactly
     n_bkps changes, by dynamic programming over segment starts.
 
-    O(T^2 / jump^2) cost evaluations, each interval once;
-    O(n_bkps * T^2 / jump^2) additions; O(n_bkps * T / jump) memory plus one
-    block of ~200k (start, end) pairs.  Among equal-cost optima, returns the
-    lexicographically smallest breakpoint sequence.  Raises InfeasibleError
-    when no admissible segmentation has n_bkps changes.
+    O(T^2 / jump^2) cost evaluations, each admissible interval once, from
+    one cost.eval_grid slab per block of starts (the slab's pairs shorter
+    than min_size are masked to inf); O(n_bkps * T^2 / jump^2) additions;
+    O(n_bkps * T / jump) memory plus one block of ~200k (start, end)
+    pairs.  Among equal-cost optima, returns the lexicographically smallest
+    breakpoint sequence.  Raises InfeasibleError when no admissible
+    segmentation has n_bkps changes.
     """
     T, msize, jump = _resolved(cost, opts)
     if n_bkps < 0:
@@ -100,9 +102,10 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
     # level[k, i] = best cost of covering (starts[i], T] with k changes; it
     # reads level k-1 only at candidates after starts[i].  Blocks of starts
     # run right to left with every level solved per block, so level k-1 is
-    # known wherever level k reads it, and each block's feasible (start,
-    # candidate end) pairs go to the cost once, in one batched call.  Block
-    # size keeps the scratch arrays cache-friendly (~200k pairs).
+    # known wherever level k reads it, and each block's (start, candidate
+    # end) slab comes from one cost.eval_grid call, with the pairs shorter
+    # than msize set to inf.  Block size keeps the scratch arrays
+    # cache-friendly (~200k pairs).
     level = np.full((n_bkps + 1, len(starts)), np.inf)
     level[0] = cost.eval_batch(starts, T)
     parent = np.full((n_bkps + 1, len(starts)), -1, dtype=np.int64)
@@ -112,12 +115,10 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
         sb = starts[i0:i1]
         j0 = int(np.searchsorted(cands, sb[0] + msize))  # first end of any start here
         cb = cands[j0:]
-        valid = cb[None, :] >= sb[:, None] + msize
-        if not valid.any():
+        if len(cb) == 0:
             continue
-        rows, cols = np.nonzero(valid)
-        slab = np.full(valid.shape, np.inf)
-        slab[rows, cols] = cost.eval_batch(sb[rows], cb[cols])
+        slab = cost.eval_grid(sb, cb)
+        slab[cb[None, :] < sb[:, None] + msize] = np.inf
         for k in range(1, n_bkps + 1):
             vals = slab + level[k - 1, 1 + j0:]
             j = np.argmin(vals, axis=1)  # first minimum: smallest t
@@ -147,8 +148,8 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     changes the result for costs where splitting cannot increase the cost;
     pass prune=False to force the full quadratic scan.
 
-    Ends run in blocks of up to 24 consecutive ends, with one batched cost
-    call per block for every admissible (candidate, end) pair, where the
+    Ends run in blocks of up to 24 consecutive ends, with one
+    cost.eval_grid call per block for the (candidate, end) slab, where the
     candidates are those left by earlier blocks and the block's own ends.
     An end's best can continue the best of an earlier end in the same
     block, so the block repeats one vectorised pass until its bests stop
@@ -191,12 +192,11 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
         E = ends[b0:b0 + max(1, min(24, 200_000 // n_old))]
         B = len(E)
         # Row r is the last change cand[r], column j the end E[j]; pairs
-        # shorter than min_size stay inf.
+        # shorter than min_size are inf.
         cand = np.concatenate((adm, E))
         ok = cand[:, None] <= E - msize
-        rows, cols = np.nonzero(ok)
-        C = np.full(ok.shape, np.inf)
-        C[rows, cols] = cost.eval_batch(cand[rows], E[cols])
+        C = cost.eval_grid(cand, E)
+        C[~ok] = np.inf
         # head[r] = best[cand[r]]; the block's own bests start unknown.
         head = np.concatenate((best[adm], np.full(B, np.inf)))
         for _ in range(B + 1):

@@ -118,6 +118,28 @@ class TestDetect:
         assert code == 1
         assert "gamma must be finite" in err
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cost", ["l2", "mahalanobis", "normal"])
+    @pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e160", "1e200"])
+    def test_out_of_range_scale_is_data_error(self, tmp_path, capsys, scale, cost, d):
+        # pelt used to exit 0 with "sum_of_costs": NaN here, and opt and
+        # binseg to blame the change count
+        rng = np.random.default_rng(5)
+        data = float(scale) * (np.repeat([0.0, 5.0], 20)[:, None] + rng.standard_normal((40, d)))
+        csv = str(tmp_path / "signal.csv")
+        np.savetxt(csv, data, fmt="%.17g", delimiter=",")
+        extra = []
+        if cost == "mahalanobis":
+            np.savetxt(tmp_path / "metric.csv", np.eye(d), delimiter=",")
+            extra = ["--metric-matrix", str(tmp_path / "metric.csv")]
+        for method, target in (("pelt", ["--pen", "l0:1"]), ("opt", ["--n-bkps", "1"]),
+                               ("binseg", ["--n-bkps", "1"])):
+            code, out, err = run(capsys, "detect", "--input", csv, "--method", method,
+                                 "--cost", cost, *extra, *target)
+            assert (code, out) == (1, ""), (method, err)
+            assert "signal scale out of range" in err
+            assert "nan" not in err.lower()
+
     def test_report_roundtrip_rescores(self, tmp_path, capsys):
         csv = write_step_csv(tmp_path / "step.csv", T=120, at=70, height=3.0)
         out_path = tmp_path / "report.json"

@@ -614,3 +614,68 @@ def test_shift_invariant_costs_large_t_parity(kind, d):
             continue
         for b in range(T - 60, T + 1, 7):
             assert rel_close(c.eval(b - n, b), ORACLES[kind](data, b - n, b)), (b - n, b)
+
+
+class TestEvalGrid:
+    def test_range_checked_like_eval_batch(self):
+        c = fit("l2", np.arange(10.0))
+        for starts, ends in (([0], [11]), ([-1], [5])):
+            with pytest.raises(ValueError, match="out of range"):
+                c.eval_grid(starts, ends)
+            with pytest.raises(ValueError, match="out of range"):
+                c.eval_batch(starts, ends)
+
+    def test_nan_names_the_first_admissible_interval(self):
+        from sigseg.costs import L2Cost
+
+        class NanL2(L2Cost):
+            def _values(self, starts, ends):
+                vals = super()._values(starts, ends)
+                return np.where((ends - starts == 5) & (starts >= 3), np.nan, vals)
+
+        c = NanL2(Signal(np.arange(12.0)[:, None]))
+        with pytest.raises(ValueError, match=r"NaN on interval \(4, 9\]"):
+            c.eval_batch([0, 4, 3], [8, 9, 8])
+        with pytest.raises(ValueError, match=r"NaN on interval \(3, 8\]"):
+            c.eval_grid([0, 3, 4], [8, 9])
+        # l2 is 0/0 = NaN on the empty interval, below min_size: discarded
+        assert c.eval_grid([8], [8, 9]).tolist() == [[np.inf, 0.0]]
+
+
+STEP_LEVELS = [0.0, 3.0, 1.0]
+
+
+def scaled_steps(d, scale):
+    rng = np.random.default_rng(35)
+    data = np.repeat(STEP_LEVELS, 20)[:, None] + 0.3 * rng.standard_normal((60, d))
+    return scale * data
+
+
+def fit_at_scale(kind, d, scale):
+    extras = {"metric": np.eye(d)} if kind == "mahalanobis" else {}
+    return fit(kind, scaled_steps(d, scale), **extras)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["l2", "mahalanobis", "normal"])
+class TestSignalScale:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_out_of_range_scale_rejected_at_fit(self, kind, d, scale):
+        # m^2 is subnormal or m^2 overflows: the costs would be 0, inf or NaN
+        with pytest.raises(ValueError, match="signal scale out of range"):
+            fit_at_scale(kind, d, scale)
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e140])
+    def test_in_range_scale_keeps_breakpoints(self, kind, d, scale):
+        want = opt_segment(fit_at_scale(kind, d, 1.0), 2)
+        assert want.bkps == (20, 40, 60)
+        assert opt_segment(fit_at_scale(kind, d, scale), 2) == want
+
+
+@pytest.mark.parametrize("kind", ["l2", "mahalanobis"])
+def test_column_with_underflowing_spread_keeps_the_other_columns(kind):
+    # The second column's deviations square to 0: its centring step must not
+    # be 0 (a NaN shift), and the first column alone places the changes.
+    data = np.column_stack([scaled_steps(1, 1.0), 1e-200 * scaled_steps(1, 1.0)[::-1]])
+    extras = {"metric": np.eye(2)} if kind == "mahalanobis" else {}
+    assert opt_segment(fit(kind, data, **extras), 2).bkps == (20, 40, 60)

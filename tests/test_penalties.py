@@ -230,3 +230,21 @@ class TestDetect:
         assert report.breakpoints == [40, 80]
         assert [t for t, _ in trace] == [40]
         assert report.penalized_objective is None
+
+    def test_report_refuses_a_non_finite_objective(self):
+        from sigseg.costs import L2Cost
+        from sigseg.signals import as_signal
+
+        class InfiniteL2(L2Cost):
+            def _values(self, starts, ends):
+                return np.full(np.broadcast(starts, ends).shape, np.inf)
+
+        with pytest.raises(ValueError, match="non-finite objective"):
+            detect(InfiniteL2(as_signal(self.DATA)), "opt", 0)
+
+    def test_json_refuses_nan(self):
+        from sigseg.report import DetectionReport
+
+        report = DetectionReport("opt", "l2", [80], float("nan"), None, 0.0)
+        with pytest.raises(ValueError):
+            report.to_json()

@@ -112,21 +112,27 @@ class TestOpt:
         from sigseg.costs import L2Cost
         from sigseg.signals import as_signal
 
+        # Counted at _values, which both eval_batch and eval_grid call: the
+        # pairs of at least min_size = 2 samples that reach it.
         class CountingL2(L2Cost):
             def __init__(self, signal):
                 super().__init__(signal)
                 self.pairs = []
 
-            def eval_batch(self, starts, ends):
+            def _values(self, starts, ends):
                 s, e = np.broadcast_arrays(starts, ends)
-                self.pairs.extend(zip(s.ravel().tolist(), e.ravel().tolist()))
-                return super().eval_batch(starts, ends)
+                keep = e - s >= 2
+                self.pairs.extend(zip(s[keep].tolist(), e[keep].tolist()))
+                return super()._values(starts, ends)
 
         rng = np.random.default_rng(41)
         data = rng.normal(size=(500, 2))
         cost = CountingL2(as_signal(data))
         seg = opt_segment(cost, 3, SearchOptions(min_size=2))
         assert len(cost.pairs) == len(set(cost.pairs))
+        cands = range(2, 499)  # the admissible interior indexes
+        assert set(cost.pairs) == {(a, b) for a in [0, *cands] for b in [*cands, 500]
+                                   if b - a >= 2}
         assert seg == opt_segment(fit("l2", data), 3, SearchOptions(min_size=2))
 
     def test_respects_jump_grid_and_min_size(self):
@@ -297,14 +303,15 @@ class TestPelt:
         from sigseg.costs import L2Cost
         from sigseg.signals import as_signal
 
+        # Counted at _values, which both eval_batch and eval_grid call.
         class CountingL2(L2Cost):
             def __init__(self, signal):
                 super().__init__(signal)
                 self.calls = 0
 
-            def eval_batch(self, starts, ends):
+            def _values(self, starts, ends):
                 self.calls += 1
-                return super().eval_batch(starts, ends)
+                return super()._values(starts, ends)
 
         rng = np.random.default_rng(52)
         T = 2000  # every index is an end: jump 1, min_size 1
