@@ -111,15 +111,19 @@ class CostModel:
             raise ValueError(f"segment shorter than min_size={self.min_size} for cost {self.kind!r}")
         return self._no_nan(self._values(starts, ends), starts, ends)
 
-    def eval_grid(self, starts, ends) -> np.ndarray:
+    def eval_grid(self, starts, ends, min_size: int = 1) -> np.ndarray:
         """The (len(starts), len(ends)) matrix of c(s, e) over 1-D bounds, inf
-        where e - s < min_size: one _values call on starts[:, None] and
-        ends[None, :], whose values below min_size are never read."""
+        where e - s is below min_size or the cost's own min_size: one _values
+        call on starts[:, None] and ends[None, :], whose values there are
+        never read.  Pairs the cost could score but min_size excludes reach
+        _values as empty intervals (s = e), so _one never sees them."""
         starts, ends = self._in_range(starts, ends)
         starts, ends = starts[:, None], ends[None, :]
+        ok = ends - starts >= max(self.min_size, min_size)
+        inner = starts if min_size <= self.min_size else np.where(ok, starts, ends)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = self._values(starts, ends)
-        return self._no_nan(np.where(ends - starts >= self.min_size, vals, np.inf), starts, ends)
+            vals = self._values(inner, ends)
+        return self._no_nan(np.where(ok, vals, np.inf), starts, ends)
 
     def _in_range(self, starts, ends) -> tuple[np.ndarray, np.ndarray]:
         starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)

@@ -77,8 +77,8 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
     n_bkps changes, by dynamic programming over segment starts.
 
     O(T^2 / jump^2) cost evaluations, each admissible interval once, from
-    one cost.eval_grid slab per block of starts (the slab's pairs shorter
-    than min_size are masked to inf); O(n_bkps * T^2 / jump^2) additions;
+    one cost.eval_grid slab per block of starts (its pairs shorter than
+    min_size are inf and never scored); O(n_bkps * T^2 / jump^2) additions;
     O(n_bkps * T / jump) memory plus one block of ~200k (start, end)
     pairs.  Among equal-cost optima, returns the lexicographically smallest
     breakpoint sequence.  Raises InfeasibleError when no admissible
@@ -117,8 +117,7 @@ def opt_segment(cost: CostModel, n_bkps: int, opts: SearchOptions | None = None)
         cb = cands[j0:]
         if len(cb) == 0:
             continue
-        slab = cost.eval_grid(sb, cb)
-        slab[cb[None, :] < sb[:, None] + msize] = np.inf
+        slab = cost.eval_grid(sb, cb, msize)
         for k in range(1, n_bkps + 1):
             vals = slab + level[k - 1, 1 + j0:]
             j = np.argmin(vals, axis=1)  # first minimum: smallest t
@@ -194,9 +193,7 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
         # Row r is the last change cand[r], column j the end E[j]; pairs
         # shorter than min_size are inf.
         cand = np.concatenate((adm, E))
-        ok = cand[:, None] <= E - msize
-        C = cost.eval_grid(cand, E)
-        C[~ok] = np.inf
+        C = cost.eval_grid(cand, E, msize)
         # head[r] = best[cand[r]]; the block's own bests start unknown.
         head = np.concatenate((best[adm], np.full(B, np.inf)))
         for _ in range(B + 1):
@@ -210,7 +207,8 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
         dead = np.concatenate((dead_at, np.full(B, T + 1)))
         stop = B
         if prune:
-            beaten = ok & (W - beta > bE)
+            # Pairs below min_size are inf in W but beat nothing.
+            beaten = (cand[:, None] <= E - msize) & (W - beta > bE)
             first = np.where(beaten.any(axis=1), beaten.argmax(axis=1), B)
             kill = np.append(E + msize, T + 1)[first]
             # A winner that the end-by-end scan had already pruned.

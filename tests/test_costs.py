@@ -641,6 +641,16 @@ class TestEvalGrid:
         # l2 is 0/0 = NaN on the empty interval, below min_size: discarded
         assert c.eval_grid([8], [8, 9]).tolist() == [[np.inf, 0.0]]
 
+    def test_min_size_above_the_costs_own_is_never_scored(self):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=40)
+        data[10:12] = 3.0
+        c = fit("normal", data, regularize=False)
+        with pytest.raises(ValueError, match="singular"):
+            c.eval_grid([10], [12, 16])
+        got = c.eval_grid([10], [12, 16], min_size=5)
+        assert got.tolist() == [[np.inf, c.eval(10, 16)]]
+
 
 STEP_LEVELS = [0.0, 3.0, 1.0]
 

@@ -2,8 +2,9 @@
 
 For each kind, with drawn data, extras, T, d, min_size, jump, K and beta:
 
-- eval_grid equals eval_batch gathered at the pairs of at least min_size
-  samples, bit for bit, with inf elsewhere;
+- eval_grid, given the search's min_size, equals eval_batch gathered at
+  the pairs of at least that many samples, bit for bit, with inf
+  elsewhere;
 - opt_segment reaches helpers.exhaustive_best's minimum, or both find no
   admissible segmentation;
 - pelt_segment reaches the objective of
@@ -91,8 +92,8 @@ def test_exact_searches_match_oracles(kind, data):
                      dtype=np.int64)
     starts, ends = np.concatenate(([0], cands)), np.append(cands, T)
 
-    grid = cost.eval_grid(starts, ends)
-    rows, cols = np.nonzero(ends[None, :] - starts[:, None] >= cost.min_size)
+    grid = cost.eval_grid(starts, ends, msize)
+    rows, cols = np.nonzero(ends[None, :] - starts[:, None] >= msize)
     want = np.full(grid.shape, np.inf)
     want[rows, cols] = cost.eval_batch(starts[rows], ends[cols])
     assert grid.tobytes() == want.tobytes()

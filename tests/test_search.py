@@ -113,7 +113,8 @@ class TestOpt:
         from sigseg.signals import as_signal
 
         # Counted at _values, which both eval_batch and eval_grid call: the
-        # pairs of at least min_size = 2 samples that reach it.
+        # non-empty pairs that reach it.  eval_grid hands the pairs below
+        # the search's min_size = 2 to _values as empty intervals.
         class CountingL2(L2Cost):
             def __init__(self, signal):
                 super().__init__(signal)
@@ -121,7 +122,7 @@ class TestOpt:
 
             def _values(self, starts, ends):
                 s, e = np.broadcast_arrays(starts, ends)
-                keep = e - s >= 2
+                keep = e > s
                 self.pairs.extend(zip(s[keep].tolist(), e[keep].tolist()))
                 return super()._values(starts, ends)
 
@@ -134,6 +135,21 @@ class TestOpt:
         assert set(cost.pairs) == {(a, b) for a in [0, *cands] for b in [*cands, 500]
                                    if b - a >= 2}
         assert seg == opt_segment(fit("l2", data), 3, SearchOptions(min_size=2))
+
+    def test_never_scores_an_interval_below_the_search_min_size(self):
+        # Without regularization, the equal rows 10..11 make (10, 12] raise
+        # "singular covariance"; min_size = 5 never admits it.
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=40)
+        data[10:12] = 3.0
+        cost = fit("normal", data, regularize=False)
+        with pytest.raises(ValueError, match="singular"):
+            cost.eval(10, 12)
+        assert list(opt_segment(cost, 2, SearchOptions(min_size=5)).bkps) == [6, 13, 40]
+        assert list(opt_segment(cost, 3, SearchOptions(min_size=5, jump=2)).bkps) == [6, 12, 18, 40]
+        for prune in (True, False):
+            got = pelt_segment(cost, 5.0, SearchOptions(min_size=5), prune=prune)
+            assert list(got.bkps) == [6, 13, 18, 26, 33, 40]
 
     def test_respects_jump_grid_and_min_size(self):
         rng = np.random.default_rng(40)
