@@ -37,6 +37,8 @@ COST_KINDS = (
 
 KERNEL_KINDS = ("linear", "rbf", "polynomial", "chi2")
 
+KERNEL_TABLE_MAX_BYTES = 2 * 2**30  # largest kernel interval-cost table a fit allocates
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -399,9 +401,18 @@ class RankCost(CostModel):
         self._inv = np.linalg.pinv(cov, hermitian=True)
 
     def _values(self, starts, ends):
+        # rbar' inv rbar from elementwise products and sums over one
+        # contiguous array per dimension, added in a fixed order, so an
+        # interval's value does not depend on the batch it comes in, as it
+        # does under an einsum, whose summation order follows the strides.
         n = (ends - starts).astype(float)
-        rbar = self._pr(starts, ends) / n[..., None]
-        quad = np.einsum("...j,jk,...k->...", rbar, self._inv, rbar)
+        rbar = np.divide(np.moveaxis(self._pr(starts, ends), -1, 0), n, order="C")
+        quad = np.zeros(n.shape)
+        for k in range(self._signal.d):
+            proj = rbar[0] * self._inv[0, k]
+            for j in range(1, self._signal.d):
+                proj += rbar[j] * self._inv[j, k]
+            quad += proj * rbar[k]
         return -n * quad
 
 
@@ -446,6 +457,9 @@ class KernelCost(CostModel):
     segment.  Fit builds a dense (T+1) x (T+1) table of every c(a, b), so
     an interval costs one lookup; the table takes 8 (T+1)^2 bytes (800 MB
     at T = 10,000).
+
+    A table above KERNEL_TABLE_MAX_BYTES (2 GiB, about T = 16,000) raises
+    ValueError before anything is allocated.
 
     The table is built from blocks of 64 Gram rows, computed as one
     (64, T) array each; the scratch is 64 x T floats per temporary, and no
@@ -495,6 +509,10 @@ class KernelCost(CostModel):
         # [a, b) and over [a, b)^2, extended from row a+1 by Gram row a
         # alone, so no entry is a difference of large prefix sums.
         T = self._signal.T
+        size = 8 * (T + 1) ** 2
+        if size > KERNEL_TABLE_MAX_BYTES:
+            raise ValueError(f"{self.kind} cost at T={T} needs a {size:,}-byte interval-cost table, "
+                             f"above the limit of {KERNEL_TABLE_MAX_BYTES:,} bytes")
         table = np.zeros((T + 1, T + 1))
         sums = np.zeros((2, T + 1))
         diag, block = sums

@@ -97,15 +97,22 @@ class Penalty:
 
     @property
     def identifier(self) -> str:
+        """Text that parse_penalty reads back to this penalty, exactly."""
         if self.variant == "l0":
-            return f"l0:{self.beta:g}"
+            return f"l0:{_num(self.beta)}"
         if self.variant == "bic":
-            return f"bic:{self.dim:g}"
+            return f"bic:{_num(self.dim)}"
         if self.variant in ("bic_l2", "aic_l2"):
-            return f"{self.variant}:{self.sigma:g}"
+            return f"{self.variant}:{_num(self.sigma)}"
         if self.variant == "leb":
-            return f"leb:{self.sigma:g},{self.a1:g},{self.a2:g}"
+            return f"leb:{_num(self.sigma)},{_num(self.a1)},{_num(self.a2)}"
         return "mbic"
+
+
+def _num(x: float) -> str:
+    """The shortest %g text, of at least 6 significant digits, that parses
+    back to x: 10 reads "10" and 1/3 reads "0.3333333333333333"."""
+    return next(s for p in range(6, 18) if float(s := f"{x:.{p}g}") == x)
 
 
 def pen_value(pen: Penalty, seg: Segmentation) -> float:

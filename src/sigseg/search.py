@@ -230,10 +230,25 @@ def pelt_segment(cost: CostModel, beta: float, opts: SearchOptions | None = None
     return make_segmentation(sorted(chain) + [T], T)
 
 
+def _split_costs(cost: CostModel, lo, t, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(c(lo, hi), c(lo, t) + c(t, hi)): the cost of (lo, hi] whole and
+    split at t, whose difference is the split gain that win, binseg and botup
+    rank by.  lo and hi are scalars or arrays shaped like t; c(lo, hi) takes
+    their broadcast shape, so a scalar pair is one interval.  Three
+    eval_batch calls, kept apart: one call over all three bounds would hold
+    three times the intervals at once, and the root split of a long signal
+    is the largest batch a search makes."""
+    whole = cost.eval_batch(lo, hi).reshape(np.broadcast_shapes(np.shape(lo), np.shape(hi)))
+    return whole, cost.eval_batch(lo, t) + cost.eval_batch(t, hi)
+
+
 def win_score_curve(cost: CostModel, width: int,
                     opts: SearchOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Discrepancy between adjacent windows of `width` samples sliding along
-    the signal: score[t] = c(t-w, t+w) - c(t-w, t) - c(t, t+w).
+    the signal: score[t] = c(t-w, t+w) - (c(t-w, t) + c(t, t+w)), the split
+    gain of the window at its centre.  The two halves enter as one sum, which
+    is commutative in floating point too, so two mirror-image windows score
+    equally and their tie goes to the smaller index.
 
     Returns (indexes, scores) over grid points in [width, T - width].
     """
@@ -246,10 +261,8 @@ def win_score_curve(cost: CostModel, width: int,
     cands = _grid(width, T - width, jump)
     if len(cands) == 0:
         return cands, np.array([])
-    scores = (cost.eval_batch(cands - width, cands + width)
-              - cost.eval_batch(cands - width, cands)
-              - cost.eval_batch(cands, cands + width))
-    return cands, scores
+    whole, split = _split_costs(cost, cands - width, cands, cands + width)
+    return cands, whole - split
 
 
 def win_segment(cost: CostModel, width: int, stop: StoppingRule,
@@ -299,11 +312,9 @@ def binseg_trace(cost: CostModel, stop: StoppingRule,
         ts = _grid(u + msize, v - msize, jump)
         if len(ts) == 0:
             return -np.inf, -1
-        whole = cost.eval_batch(np.array([u]), np.array([v]))[0]
-        vals = (cost.eval_batch(np.full(len(ts), u), ts)
-                + cost.eval_batch(ts, np.full(len(ts), v)))
-        j = int(np.argmin(vals))
-        return float(whole - vals[j]), int(ts[j])
+        whole, split = _split_costs(cost, u, ts, v)
+        j = int(np.argmin(split))  # first minimum: smallest t
+        return float(whole - split[j]), int(ts[j])
 
     seg_end = {0: T}
     records = {0: best_split(0, T)}
@@ -366,12 +377,12 @@ def botup_segment(cost: CostModel, delta: int, stop: StoppingRule,
     nxt = {t: n for t, n in zip(nodes, nodes[1:])}
     alive = set(pts)
 
-    def merge_gain(t: int) -> float:
-        lo, hi = prv[t], nxt[t]
-        return float(cost.eval_batch(np.array([lo]), np.array([hi]))[0]
-                     - cost.eval_batch(np.array([lo, t]), np.array([t, hi])).sum())
+    def merge_gains(ts: list[int]) -> dict[int, float]:
+        # The gain of deleting t is the split gain of (prv[t], nxt[t]] at t.
+        whole, split = _split_costs(cost, [prv[t] for t in ts], ts, [nxt[t] for t in ts])
+        return dict(zip(ts, (whole - split).tolist()))
 
-    current = {t: merge_gain(t) for t in pts}
+    current = merge_gains(pts)
     heap = [(g, t) for t, g in current.items()]
     heapq.heapify(heap)
 
@@ -395,9 +406,10 @@ def botup_segment(cost: CostModel, delta: int, stop: StoppingRule,
         lo, hi = prv[t], nxt[t]
         alive.discard(t)
         nxt[lo], prv[hi] = hi, lo
-        for nb in (lo, hi):
-            if nb in alive:
-                current[nb] = merge_gain(nb)
+        nbs = [nb for nb in (lo, hi) if nb in alive]
+        if nbs:
+            current.update(merge_gains(nbs))
+            for nb in nbs:
                 heapq.heappush(heap, (current[nb], nb))
 
     return make_segmentation(sorted(alive) + [T], T)

@@ -118,6 +118,17 @@ class TestDetect:
         assert code == 1
         assert "gamma must be finite" in err
 
+    def test_oversized_kernel_table_is_data_error(self, tmp_path, capsys, monkeypatch):
+        import sigseg.costs
+
+        monkeypatch.setattr(sigseg.costs, "KERNEL_TABLE_MAX_BYTES", 8 * 100**2)
+        csv = write_step_csv(tmp_path / "step.csv")
+        code, out, err = run(capsys, "detect", "--input", csv, "--method", "binseg",
+                             "--cost", "kernel_rbf", "--n-bkps", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "T=100" in err and "above the limit" in err
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("cost", ["l2", "mahalanobis", "normal"])
     @pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e160", "1e200"])

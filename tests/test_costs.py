@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from sigseg import (
+    COST_KINDS,
     Covariates,
     KernelSpec,
     Signal,
@@ -444,6 +445,16 @@ class TestKernel:
         want = helpers.naive_kernel(data, KernelSpec("chi2", gamma=0.4), 1, 9)
         assert rel_close(c.eval(1, 9), want)
 
+    def test_table_size_checked_before_allocation(self, monkeypatch):
+        import sigseg.costs
+
+        monkeypatch.setattr(sigseg.costs, "KERNEL_TABLE_MAX_BYTES", 8 * 100**2)
+        data = np.random.default_rng(0).normal(size=(100, 2))
+        assert fit("kernel_rbf", data[:99]).eval(0, 99) >= 0.0  # 8 * 100^2 bytes: at the limit
+        with pytest.raises(ValueError, match=r"kernel_rbf cost at T=100 needs a 81,608-byte "
+                                             r"interval-cost table, above the limit of 80,000 bytes"):
+            fit("kernel_rbf", data)
+
     def test_concurrent_eval_matches_sequential(self):
         rng = np.random.default_rng(23)
         c = fit("kernel_rbf", rng.normal(size=(40, 2)), gamma=0.3)
@@ -689,3 +700,44 @@ def test_column_with_underflowing_spread_keeps_the_other_columns(kind):
     data = np.column_stack([scaled_steps(1, 1.0), 1e-200 * scaled_steps(1, 1.0)[::-1]])
     extras = {"metric": np.eye(2)} if kind == "mahalanobis" else {}
     assert opt_segment(fit(kind, data, **extras), 2).bkps == (20, 40, 60)
+
+
+UNIVARIATE_KINDS = ("linear", "linear_l1", "ar", "ecdf")
+
+
+def fit_any(kind, d, seed=0, T=200):
+    rng = np.random.default_rng(seed)
+    data = np.repeat(rng.normal(0.0, 3.0, size=(4, d)), T // 4, axis=0) + rng.standard_normal((T, d))
+    if kind in ("poisson", "kernel_chi2"):
+        data = np.abs(data)
+    extras = {}
+    if kind in ("linear", "linear_l1"):
+        extras["covariates"] = np.column_stack([np.ones(T), rng.normal(size=T)])
+    elif kind == "ar":
+        extras["order"] = 2
+    elif kind == "mahalanobis":
+        A = rng.normal(size=(d, d))
+        extras["metric"] = A @ A.T
+    return fit(kind, data, **extras)
+
+
+@pytest.mark.parametrize("kind,d", [(k, d) for k in COST_KINDS
+                                    for d in ((1,) if k in UNIVARIATE_KINDS else (1, 2, 3))])
+def test_value_does_not_depend_on_the_batch(kind, d):
+    # eval, eval_batch and eval_grid give an interval the same bits, in
+    # whatever batch it comes.  Known exception, left out of this range:
+    # mahalanobis for d >= 4, whose s @ M goes through BLAS; a fixed-order
+    # sum in its place measured 1.5-5x slower.
+    c = fit_any(kind, d)
+    T = c.signal.T
+    rng = np.random.default_rng(1)
+    starts = np.sort(rng.choice(np.arange(2, T // 2), size=12, replace=False))
+    ends = np.sort(rng.choice(np.arange(T // 2, T + 1), size=12, replace=False))
+    grid = c.eval_grid(starts, ends)
+    rows, cols = np.divmod(np.arange(grid.size), len(ends))
+    order = rng.permutation(grid.size)
+    gathered = np.empty(grid.size)
+    gathered[order] = c.eval_batch(starts[rows[order]], ends[cols[order]])
+    single = [c.eval(int(a), int(b)) for a, b in zip(starts[rows], ends[cols])]
+    assert grid.ravel().tobytes() == gathered.tobytes()
+    assert np.array(single).tobytes() == gathered.tobytes()

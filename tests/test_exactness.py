@@ -8,7 +8,9 @@ For each kind, with drawn data, extras, T, d, min_size, jump, K and beta:
 - opt_segment reaches helpers.exhaustive_best's minimum, or both find no
   admissible segmentation;
 - pelt_segment reaches the objective of
-  helpers.optimal_partitioning(prune=False).
+  helpers.optimal_partitioning(prune=False);
+- win_segment, binseg_segment and botup_segment at opt's K never reach a
+  lower sum of costs than opt_segment does.
 
 The oracles read a table of the cost's own eval_batch values, so a scalar
 cost is evaluated once per interval however often an oracle asks for it.
@@ -25,11 +27,15 @@ import helpers
 from sigseg import (
     COST_KINDS,
     SearchOptions,
+    StoppingRule,
+    binseg_segment,
+    botup_segment,
     fit,
     make_segmentation,
     opt_segment,
     pelt_segment,
     sum_of_costs,
+    win_segment,
 )
 from sigseg.costs import CostModel
 from sigseg.search import InfeasibleError
@@ -116,3 +122,35 @@ def test_exact_searches_match_oracles(kind, data):
 
     want_bkps = helpers.optimal_partitioning(oracle, beta, opts.min_size, opts.jump)
     assert close(objective(pelt_segment(cost, beta, opts).bkps), objective(want_bkps))
+
+
+@pytest.mark.parametrize("kind", COST_KINDS)
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_approximate_methods_never_beat_opt(kind, data):
+    cost, opts, n_bkps, _ = data.draw(problems(kind))
+    T = cost.signal.T
+    msize = max(opts.min_size, cost.min_size)
+    try:
+        best = sum_of_costs(cost, opt_segment(cost, n_bkps, opts))
+    except InfeasibleError:
+        return
+    stop = StoppingRule.fixed_k(n_bkps)
+    width = data.draw(st.integers(msize, T // 2))
+    runs = {"win": lambda: win_segment(cost, width, stop, opts),
+            "binseg": lambda: binseg_segment(cost, stop, opts)}
+    deltas = [m for m in range(opts.jump, T // 2 + 1, opts.jump) if m > 2 and m >= msize]
+    if deltas:
+        delta = data.draw(st.sampled_from(deltas))
+        runs["botup"] = lambda: botup_segment(cost, delta, stop, opts)
+    for name, run in runs.items():
+        try:
+            seg = run()
+        except ValueError as exc:
+            # The method cannot place n_bkps changes, or (a known gap) a
+            # window of win on ar starts inside the lag order.
+            assert "cannot" in str(exc) or ((name, kind) == ("win", "ar")
+                                            and "needs interval start 0 or >= order" in str(exc)), (name, exc)
+            continue
+        assert seg.n_bkps == n_bkps, name
+        assert sum_of_costs(cost, seg) >= best - 1e-9 * (1.0 + abs(best)), name

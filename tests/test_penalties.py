@@ -85,6 +85,15 @@ class TestParsePenalty:
         for text in ("l0:2.5", "bic:3", "bic_l2:1.5", "aic_l2:0.25", "mbic", "leb:1,0.5,2"):
             pen = parse_penalty(text)
             assert parse_penalty(pen.identifier) == pen
+        # An identifier parses back to the same floats, so a config_echo
+        # reproduces its run; a data-estimated sigma has all 17 digits.
+        sigma = estimate_noise_std(np.random.default_rng(7).normal(0.0, 1.3, size=500))
+        for x in (sigma, 0.1, 1 / 3, 1e-300, 1e300):
+            for pen in (Penalty.l0(x), Penalty.bic_l2(x), Penalty.aic_l2(x), Penalty.leb(x, x, x)):
+                assert parse_penalty(pen.identifier) == pen
+        assert Penalty.bic(1e300).identifier == "bic:1e+300"
+        assert [Penalty.l0(10).identifier, Penalty.l0(0.5).identifier, Penalty.bic(3).identifier] \
+            == ["l0:10", "l0:0.5", "bic:3"]
 
     def test_rejects_garbage(self):
         for text in ("l0", "l0:x", "mbic:3", "leb:1,2", "nope:1", "l0:nan", "bic_l2:inf",

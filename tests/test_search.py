@@ -364,6 +364,14 @@ class TestWin:
         assert z[45] == pytest.approx((25 * 15 / 40 - 5 * 15 / 20) * 25.0, rel=1e-12)
         assert z[55] == pytest.approx(z[45], rel=1e-12)
 
+    def test_mirror_image_windows_tie_to_the_smaller_index(self):
+        # Halves summing to (7, 2) and (2, 7) score c(whole) - (c(7) + c(2))
+        # both; scored as (c(whole) - c(7)) - c(2) they differed in the last bit.
+        cost = fit("poisson", np.array([7.0, 2.0, 7.0]))
+        cands, scores = win_score_curve(cost, 1)
+        assert cands.tolist() == [1, 2] and scores[0] == scores[1]
+        assert win_segment(cost, 1, StoppingRule.fixed_k(1)).bkps == (1, 3)
+
     def test_window_wider_than_signal(self):
         with pytest.raises(ValueError, match="wider than signal"):
             win_segment(fit("l2", np.arange(10.0)), 6, StoppingRule.fixed_k(1))
@@ -448,6 +456,32 @@ class TestBotup:
         cost = fit("l2", step_signal(T=120, at=60, height=8.0))
         seg = botup_segment(cost, 10, StoppingRule.penalty_threshold(1.0))
         assert seg.bkps == (60, 120)
+
+    @pytest.mark.parametrize("stop", [StoppingRule.fixed_k(3), StoppingRule.penalty_threshold(1e300)])
+    def test_merge_gains_scored_as_arrays(self, stop):
+        from sigseg.costs import L2Cost
+        from sigseg.signals import as_signal
+
+        # Counted at _values: 3 calls for the initial grid and 3 per merge
+        # that leaves a live neighbour to rescore, none for one that leaves none.
+        class CountingL2(L2Cost):
+            def __init__(self, signal):
+                super().__init__(signal)
+                self.calls = 0
+
+            def _values(self, starts, ends):
+                self.calls += 1
+                return super()._values(starts, ends)
+
+        rng = np.random.default_rng(44)
+        data = np.repeat(rng.normal(0, 3, 6), 40) + rng.standard_normal(240)
+        cost = CountingL2(as_signal(data))
+        seg = botup_segment(cost, 8, stop)
+        merges = 240 // 8 - 1 - seg.n_bkps
+        assert cost.calls <= 3 * (1 + merges)
+        if seg.n_bkps == 0:  # the last merge had no neighbour left
+            assert cost.calls == 3 * merges
+        assert seg == botup_segment(fit("l2", data), 8, stop)
 
     def test_infeasible_k(self):
         with pytest.raises(ValueError, match="cannot yield"):
